@@ -21,12 +21,11 @@ from .contrastive import (
 )
 from .encoder import (
     EncoderParams,
-    ForwardCounter,
+    Encoding,
     GradientBuffer,
     PrecomputedEntityEncoder,
+    TokenIds,
     encode_backward,
-    encode_hr,
-    encode_tail,
     forward_hr,
     forward_tail,
     load_checkpoint,
@@ -69,9 +68,9 @@ __all__ = [
     "CandidateMatrix",
     "CheckpointError",
     "EncoderParams",
+    "Encoding",
     "Entity",
     "EntityEmbeddingIndex",
-    "ForwardCounter",
     "GradientBuffer",
     "KgcError",
     "KnowledgeGraph",
@@ -84,6 +83,7 @@ __all__ = [
     "RankingResult",
     "Relation",
     "RerankConfig",
+    "TokenIds",
     "TrainConfig",
     "TrainingBatch",
     "Triple",
@@ -97,8 +97,6 @@ __all__ = [
     "classify_relation",
     "clip_gradients",
     "encode_backward",
-    "encode_hr",
-    "encode_tail",
     "evaluate",
     "fnv1a_64",
     "forward_hr",

@@ -76,7 +76,6 @@ _DATA = [
 _COMMON = [
     _Opt("--config", str, None, "config file with key = value lines"),
     _Opt("--seed", int, 42, "seed for every random stream"),
-    _Opt("--threads", int, 1, "worker threads for evaluation (1 = deterministic)"),
     _Opt("--max-tokens", int, enc.DEFAULT_MAX_TOKENS, "token budget per text"),
 ]
 _MODEL = [
@@ -223,16 +222,6 @@ def _resolve(ns: argparse.Namespace, opts: list[_Opt], file_values: dict[str, st
     return cfg
 
 
-def _parse_negatives(text: str) -> frozenset[str]:
-    parts = frozenset(p.strip().lower() for p in text.split(",") if p.strip())
-    unknown = parts - set(tr.NEGATIVE_SOURCES)
-    if unknown:
-        raise KgcError(f"unknown negative sources: {', '.join(sorted(unknown))}")
-    if "pb" in parts and "ib" not in parts:
-        raise KgcError("pre-batch negatives require in-batch negatives")
-    return parts
-
-
 def _load_augmented(cfg: dict) -> KnowledgeGraph:
     g = load_graph(cfg["train"], cfg["valid"], cfg["test"], cfg["entities"], cfg["relations"])
     g = add_inverse_triples(g)
@@ -252,7 +241,7 @@ def _train_config(cfg: dict) -> tr.TrainConfig:
         weight_decay=cfg["weight_decay"],
         dropout=cfg["dropout"],
         loss_kind=cfg["loss"],
-        negatives=_parse_negatives(cfg["negatives"]),
+        negatives=frozenset(p.strip() for p in cfg["negatives"].split(",") if p.strip()),
         pre_batches=cfg["pre_batches"],
         seed=cfg["seed"],
         max_tokens=cfg["max_tokens"],
@@ -269,10 +258,6 @@ def _train_config(cfg: dict) -> tr.TrainConfig:
 def _fresh_params(cfg: dict) -> enc.EncoderParams:
     rng = named_stream(cfg["seed"], "init")
     return enc.EncoderParams.initialize(cfg["buckets"], cfg["dim"], rng, cfg["temperature"])
-
-
-def _build_index(g: KnowledgeGraph, params: enc.EncoderParams, cfg: dict) -> ev.EntityEmbeddingIndex:
-    return ev.build_index(g, params, cfg["max_tokens"], workers=cfg["threads"])
 
 
 def _rerank_config(cfg: dict) -> Optional[ev.RerankConfig]:
@@ -299,10 +284,8 @@ def cmd_evaluate(cfg: dict) -> int:
             )
         idx = ev.index_from_precomputed(g, plugin)
     else:
-        idx = _build_index(g, params, cfg)
-    result = ev.evaluate(
-        g, idx, params, cfg["split"], _rerank_config(cfg), cfg["max_tokens"], workers=cfg["threads"]
-    )
+        idx = ev.build_index(g, params, cfg["max_tokens"])
+    result = ev.evaluate(g, idx, params, cfg["split"], _rerank_config(cfg), cfg["max_tokens"])
     text = json.dumps(result.report(), indent=2, sort_keys=True) + "\n"
     if cfg["output"]:
         with open(cfg["output"], "w", encoding="utf-8") as fh:
@@ -319,7 +302,7 @@ def cmd_predict(cfg: dict) -> int:
     g.relation(relation)
     if cfg["direction"] == "head":
         relation = g.inverse_of(relation)
-    idx = _build_index(g, params, cfg)
+    idx = ev.build_index(g, params, cfg["max_tokens"])
     rows = ev.predict_topk(
         g, idx, params, cfg["head"], relation, cfg["topk"], _rerank_config(cfg), cfg["max_tokens"]
     )
@@ -331,7 +314,7 @@ def cmd_predict(cfg: dict) -> int:
 def cmd_export_embeddings(cfg: dict) -> int:
     g = _load_augmented(cfg)
     params = enc.load_checkpoint(cfg["checkpoint"])
-    idx = _build_index(g, params, cfg)
+    idx = ev.build_index(g, params, cfg["max_tokens"])
     ev.write_embeddings(idx, cfg["out"])
     print(f"embeddings: {cfg['out']} rows: {len(idx.entity_ids)}")
     return EXIT_OK
@@ -372,10 +355,8 @@ def cmd_sweep(cfg: dict) -> int:
     for point in points:
         run_cfg = _sweep_config(base, axis, point)
         params, _ = tr.train(g, _fresh_params(cfg), run_cfg)
-        idx = _build_index(g, params, cfg)
-        report = ev.evaluate(
-            g, idx, params, cfg["split"], None, cfg["max_tokens"], workers=cfg["threads"]
-        ).report()
+        idx = ev.build_index(g, params, cfg["max_tokens"])
+        report = ev.evaluate(g, idx, params, cfg["split"], None, cfg["max_tokens"]).report()
         path = os.path.join(cfg["out_dir"], f"{axis}-{point}.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")

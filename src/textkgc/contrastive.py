@@ -17,13 +17,13 @@ All losses return exact analytic gradients with respect to the score matrix
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .encoder import temperature
 from .errors import KgcError
 from .graph import KnowledgeGraph, Triple
 
@@ -195,14 +195,13 @@ def limit_negatives(m: CandidateMatrix, max_negatives: int, rng: np.random.Gener
     """Keep at most ``max_negatives`` unmasked negatives per row, sampled without replacement."""
     if max_negatives < 0:
         raise KgcError(f"negative cap must be >= 0, got {max_negatives}")
-    B, C = m.size
-    for i in range(B):
-        negs = [j for j in range(C) if m.mask[i, j] and j != i]
-        if len(negs) > max_negatives:
-            keep = set(rng.choice(negs, size=max_negatives, replace=False).tolist())
-            for j in negs:
-                if j not in keep:
-                    m.mask[i, j] = False
+    for i, row in enumerate(m.mask):
+        negs = np.flatnonzero(row)
+        negs = negs[negs != i]
+        if negs.size > max_negatives:
+            keep = rng.choice(negs, size=max_negatives, replace=False)
+            row[negs] = False
+            row[keep] = True
 
 
 def _positive_scores(m: CandidateMatrix) -> np.ndarray:
@@ -220,16 +219,12 @@ def infonce_loss(
     ``pre_batch_weight`` for queue columns and 1 otherwise.  The loss is the
     mean over rows of the negative log softmax of the positive.  Returns the
     loss, its gradient with respect to the score matrix, and its gradient
-    with respect to log(1/tau); the temperature gradient is zero when the
-    floor clamps.
+    with respect to log(1/tau); the temperature gradient is zero when tau
+    sits at the floor.
     """
     B, C = m.size
-    try:
-        raw_tau = math.exp(-log_inv_tau)
-    except OverflowError:  # diverged parameter; loss goes flat, not non-finite
-        raw_tau = math.inf
-    tau = max(raw_tau, cfg.tau_floor)
-    clamped = raw_tau < cfg.tau_floor
+    tau = temperature(log_inv_tau, cfg.tau_floor)
+    clamped = tau == cfg.tau_floor
 
     weights = np.ones(C)
     weights[m.provenance == PRE_BATCH] = cfg.pre_batch_weight

@@ -7,17 +7,19 @@ encoded by averaging its token rows (with optional row dropout during
 training) and L2-normalizing the mean, so every output is a unit vector and
 dot products are cosines.
 
-Backward passes replay the recorded forward state, so gradients are exact
-for the sampled dropout mask; they are checked against central finite
-differences in the test suite.
+Forward and backward passes run over a whole batch of texts at once, held
+as one zero-padded token-id matrix; a row's result is bitwise the same
+whatever rows share its batch.  Backward passes replay the recorded
+forward state, so gradients are exact for the sampled dropout mask; they
+are checked against central finite differences in the test suite.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from itertools import chain
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -55,22 +57,6 @@ def tokenize(text: str, buckets: int, max_tokens: int = DEFAULT_MAX_TOKENS) -> l
         fnv1a_64(token.encode("utf-8")) % hash_space
         for token in text.lower().split()[:max_tokens]
     ]
-
-
-class ForwardCounter:
-    """Thread-safe tally of encoder invocations."""
-
-    def __init__(self) -> None:
-        self._count = 0
-        self._lock = threading.Lock()
-
-    def bump(self, n: int = 1) -> None:
-        with self._lock:
-            self._count += n
-
-    @property
-    def count(self) -> int:
-        return self._count
 
 
 @dataclass
@@ -120,23 +106,67 @@ def temperature(log_inv_tau: float, floor: float = 1e-3) -> float:
     """Softmax temperature recovered from its learnable log-inverse, floored away from zero."""
     try:
         tau = math.exp(-log_inv_tau)
-    except OverflowError:  # diverged parameter; surfaces as non-finite loss downstream
+    except OverflowError:  # diverged parameter; the loss goes flat, not non-finite
         return math.inf
     return max(tau, floor)
 
 
-@dataclass
-class ForwardRecord:
-    """Everything the backward pass needs to replay one encoding."""
+@dataclass(frozen=True)
+class TokenIds:
+    """Token sequences as one zero-padded id matrix plus each row's length.
 
-    table: str
-    tokens: np.ndarray  # (n,) int64, post-truncation
-    keep: np.ndarray  # (n,) bool dropout survivors
-    scale: float  # 1 / (1 - dropout) applied to survivors
-    pre_norm: np.ndarray  # (d,) mean-pooled vector before normalization
-    norm: float
-    output: np.ndarray  # (d,) unit vector
-    degenerate: bool  # no tokens survived; output is the fixed fallback
+    Row i holds its ``lengths[i]`` tokens in text order; the padding after
+    them is never read as a token.
+    """
+
+    ids: np.ndarray  # (n, L) int32
+    lengths: np.ndarray  # (n,) int64
+
+    @classmethod
+    def pad(cls, sequences: Sequence[Sequence[int]]) -> "TokenIds":
+        """One row per sequence, zero-padded to the longest."""
+        lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
+        width = max(map(len, sequences), default=0)
+        total = sum(map(len, sequences))
+        if total == len(sequences) * width:  # no row needs padding
+            return cls(np.array(sequences, dtype=np.int32).reshape(len(sequences), width), lengths)
+        ids = np.zeros((len(sequences), width), dtype=np.int32)
+        ids[np.arange(width) < lengths[:, None]] = np.fromiter(
+            chain.from_iterable(sequences), dtype=np.int32, count=total
+        )
+        return cls(ids, lengths)
+
+    @classmethod
+    def concat(cls, parts: Sequence["TokenIds"]) -> "TokenIds":
+        """The rows of every part in order, padded to the widest part."""
+        width = max(part.ids.shape[1] for part in parts)
+        ids = np.vstack([np.pad(part.ids, ((0, 0), (0, width - part.ids.shape[1]))) for part in parts])
+        return cls(ids, np.concatenate([part.lengths for part in parts]))
+
+    def __len__(self) -> int:
+        return self.lengths.size
+
+    def __getitem__(self, rows) -> "TokenIds":
+        """The rows a slice or index array selects, trimmed to the longest of them."""
+        lengths = self.lengths[rows]
+        return TokenIds(self.ids[rows, : lengths.max(initial=0)], lengths)
+
+    def valid(self) -> np.ndarray:
+        """(n, L) bool, True at every real token."""
+        return np.arange(self.ids.shape[1]) < self.lengths[:, None]
+
+
+@dataclass
+class Encoding:
+    """One batched forward pass and everything its backward pass replays."""
+
+    tokens: TokenIds
+    keep: Optional[np.ndarray]  # (B, L) bool: real tokens that survived dropout; None: all slots
+    scale: float  # 1 / (1 - dropout), applied to survivors
+    pre_norm: np.ndarray  # (B, d) mean-pooled vectors before normalization
+    norm: np.ndarray  # (B,) their L2 norms
+    output: np.ndarray  # (B, d) unit vectors
+    degenerate: np.ndarray  # (B,) bool: no token survived; the row is the fixed fallback
 
 
 def _fallback(dim: int) -> np.ndarray:
@@ -145,60 +175,60 @@ def _fallback(dim: int) -> np.ndarray:
     return out
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row pair.
+
+    Each one is a separate vector dot, so a row's result never depends on
+    the rows batched with it (a matrix-vector product may sum some rows in
+    another order).
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 def _bag_forward(
-    table_name: str,
     table: np.ndarray,
-    tokens: Sequence[int],
+    tokens: TokenIds,
     dropout: float,
     rng: Optional[np.random.Generator],
-    counter: Optional[ForwardCounter],
-) -> ForwardRecord:
+) -> Encoding:
     if not 0.0 <= dropout < 1.0:
         raise KgcError(f"dropout must be in [0, 1), got {dropout}")
     if dropout > 0.0 and rng is None:
         raise KgcError("dropout requires a random generator")
-    if counter is not None:
-        counter.bump()
-    dim = table.shape[1]
-    toks = np.asarray(tokens, dtype=np.int64)
-    if toks.size and (toks.min() < 0 or toks.max() >= table.shape[0]):
+    ids, lengths = tokens.ids, tokens.lengths
+    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise KgcError("token bucket out of range for the embedding table")
-    if toks.size == 0:
-        out = _fallback(dim)
-        return ForwardRecord(table_name, toks, np.zeros(0, dtype=bool), 1.0, out.copy(), 1.0, out, True)
+    keep = None
+    scale = 1.0
     if dropout > 0.0:
-        keep = rng.random(toks.size) >= dropout
+        # one draw per real token, row after row, each row in text order
+        keep = np.zeros(ids.shape, dtype=bool)
+        keep[tokens.valid()] = rng.random(int(lengths.sum())) >= dropout
         scale = 1.0 / (1.0 - dropout)
-    else:
-        keep = np.ones(toks.size, dtype=bool)
-        scale = 1.0
-    pooled = (table[toks] * keep[:, None]).sum(axis=0) * (scale / toks.size)
-    norm = float(np.linalg.norm(pooled))
-    if norm == 0.0:
-        out = _fallback(dim)
-        return ForwardRecord(table_name, toks, keep, scale, pooled, 0.0, out, True)
-    return ForwardRecord(table_name, toks, keep, scale, pooled, norm, pooled / norm, False)
+    elif lengths.min(initial=ids.shape[1]) < ids.shape[1]:
+        keep = tokens.valid()
+    rows = table[ids]
+    if keep is not None:
+        rows[~keep] = 0.0
+    # each row's token rows are added one after another in text order, so
+    # trailing padding adds exact zeros and never changes a row's bits
+    pre_norm = rows.sum(axis=1) * (scale / np.maximum(lengths, 1))[:, None]
+    norm = np.sqrt(_row_dots(pre_norm, pre_norm))
+    degenerate = norm == 0.0  # empty or all-dropped rows pool to zero
+    output = pre_norm / np.where(degenerate, 1.0, norm)[:, None]
+    if degenerate.any():
+        output[degenerate] = _fallback(table.shape[1])
+    return Encoding(tokens, keep, scale, pre_norm, norm, output, degenerate)
 
 
 def forward_tail(
     params: EncoderParams,
-    tokens: Sequence[int],
+    tokens: TokenIds,
     dropout: float = 0.0,
     rng: Optional[np.random.Generator] = None,
-    counter: Optional[ForwardCounter] = None,
-) -> ForwardRecord:
-    return _bag_forward(TAIL_TABLE, params.tail_table, tokens, dropout, rng, counter)
-
-
-def encode_tail(
-    params: EncoderParams,
-    tokens: Sequence[int],
-    dropout: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
-    counter: Optional[ForwardCounter] = None,
-) -> np.ndarray:
-    """Unit-vector embedding of an entity's token sequence."""
-    return forward_tail(params, tokens, dropout, rng, counter).output
+) -> Encoding:
+    """Unit-vector embeddings of entity texts on the candidate table."""
+    return _bag_forward(params.tail_table, tokens, dropout, rng)
 
 
 def combine_query_tokens(
@@ -214,111 +244,74 @@ def combine_query_tokens(
 
 def forward_hr(
     params: EncoderParams,
-    h_tokens: Sequence[int],
-    r_tokens: Sequence[int],
+    tokens: TokenIds,
     dropout: float = 0.0,
     rng: Optional[np.random.Generator] = None,
-    counter: Optional[ForwardCounter] = None,
-    max_tokens: int = DEFAULT_MAX_TOKENS,
-) -> ForwardRecord:
-    combined = combine_query_tokens(h_tokens, r_tokens, params.buckets, max_tokens)
-    return _bag_forward(HR_TABLE, params.hr_table, combined, dropout, rng, counter)
+) -> Encoding:
+    """Unit-vector embeddings of relation-aware queries (``combine_query_tokens`` rows)."""
+    return _bag_forward(params.hr_table, tokens, dropout, rng)
 
 
-def encode_hr(
-    params: EncoderParams,
-    h_tokens: Sequence[int],
-    r_tokens: Sequence[int],
-    dropout: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
-    counter: Optional[ForwardCounter] = None,
-    max_tokens: int = DEFAULT_MAX_TOKENS,
-) -> np.ndarray:
-    """Unit-vector embedding of a relation-aware (head, relation) query."""
-    return forward_hr(params, h_tokens, r_tokens, dropout, rng, counter, max_tokens).output
-
-
+@dataclass
 class GradientBuffer:
-    """Sparse per-bucket gradients for both tables plus the temperature scalar.
+    """Gradients of the table rows one batch touched, plus the temperature scalar.
 
-    Buckets never touched by a batch carry no entry at all.
+    ``hr_ids`` and ``tail_ids`` hold the sorted ids of each table's touched
+    rows, and ``hr`` and ``tail`` one gradient row per id.  Rows never
+    touched have no entry.
     """
 
-    def __init__(self) -> None:
-        self.hr: dict[int, np.ndarray] = {}
-        self.tail: dict[int, np.ndarray] = {}
-        self.log_inv_tau: float = 0.0
-
-    def _table(self, name: str) -> dict[int, np.ndarray]:
-        if name == HR_TABLE:
-            return self.hr
-        if name == TAIL_TABLE:
-            return self.tail
-        raise KgcError(f"unknown table {name!r}")
-
-    def add(self, table: str, bucket: int, grad: np.ndarray) -> None:
-        slot = self._table(table)
-        if bucket in slot:
-            slot[bucket] += grad
-        else:
-            slot[bucket] = grad.copy()
-
-    def entries(self) -> Iterator[tuple[str, int, np.ndarray]]:
-        for bucket, grad in self.hr.items():
-            yield HR_TABLE, bucket, grad
-        for bucket, grad in self.tail.items():
-            yield TAIL_TABLE, bucket, grad
+    hr_ids: np.ndarray  # (n_hr,)
+    hr: np.ndarray  # (n_hr, d)
+    tail_ids: np.ndarray  # (n_tail,)
+    tail: np.ndarray  # (n_tail, d)
+    log_inv_tau: float = 0.0
 
     def global_norm(self) -> float:
-        total = self.log_inv_tau**2
-        for _, _, grad in self.entries():
-            total += float(np.dot(grad, grad))
+        total = self.log_inv_tau**2 + float(np.vdot(self.hr, self.hr))
+        total += float(np.vdot(self.tail, self.tail))
         return math.sqrt(total)
 
     def scale_(self, factor: float) -> None:
-        for _, _, grad in self.entries():
-            grad *= factor
+        self.hr *= factor
+        self.tail *= factor
         self.log_inv_tau *= factor
 
     def assert_finite(self) -> None:
-        for table, bucket, grad in self.entries():
-            if not np.isfinite(grad).all():
-                raise NumericError(f"non-finite gradient in {table}_table[{bucket}]")
+        tables = ((HR_TABLE, self.hr_ids, self.hr), (TAIL_TABLE, self.tail_ids, self.tail))
+        for table, ids, grads in tables:
+            bad = ~np.isfinite(grads).all(axis=1)
+            if bad.any():
+                raise NumericError(f"non-finite gradient in {table}_table[{ids[bad.argmax()]}]")
         if not math.isfinite(self.log_inv_tau):
             raise NumericError("non-finite gradient in log_inv_tau")
 
 
-def encode_backward(
-    params: EncoderParams,
-    record: ForwardRecord,
-    upstream: np.ndarray,
-    buffer: Optional[GradientBuffer] = None,
-) -> GradientBuffer:
-    """Accumulate d(loss)/d(table rows) for one recorded encoding.
+def encode_backward(encoding: Encoding, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """d(loss)/d(table rows) for one batched encoding, given d(loss)/d(output).
 
-    The upstream gradient is first pulled back through the L2 normalization
-    (projecting out the radial component, then dividing by the pre-norm
-    length) and then distributed uniformly over the surviving token rows.
-    Degenerate encodings (no surviving tokens) have constant output and
-    contribute nothing.
+    Each row's upstream gradient is first pulled back through the L2
+    normalization (projecting out the radial component, then dividing by
+    the pre-norm length) and then distributed uniformly over the row's
+    surviving tokens; a token that occurs more than once collects every
+    share, added in row order and then text order.  Degenerate rows (no
+    surviving tokens) have constant output and contribute nothing.  Returns
+    the sorted ids of the touched table rows and one gradient row per id.
     """
-    if buffer is None:
-        buffer = GradientBuffer()
     upstream = np.asarray(upstream, dtype=float)
-    if upstream.shape != record.output.shape:
-        raise KgcError(
-            f"upstream gradient shape {upstream.shape} does not match output {record.output.shape}"
-        )
-    if record.degenerate:
-        return buffer
-    radial = float(upstream @ record.output)
-    grad_pre = (upstream - radial * record.output) / record.norm
-    coeff = record.scale / record.tokens.size
-    per_row = grad_pre * coeff
-    for token, kept in zip(record.tokens.tolist(), record.keep.tolist()):
-        if kept:
-            buffer.add(record.table, token, per_row)
-    return buffer
+    output = encoding.output
+    if upstream.shape != output.shape:
+        raise KgcError(f"upstream gradient shape {upstream.shape} does not match output {output.shape}")
+    live = ~encoding.degenerate
+    radial = _row_dots(upstream, output)
+    grad_pre = (upstream - radial[:, None] * output) / np.where(live, encoding.norm, 1.0)[:, None]
+    per_token = grad_pre * (encoding.scale / np.maximum(encoding.tokens.lengths, 1))[:, None]
+    keep = np.ones(encoding.tokens.ids.shape, dtype=bool) if encoding.keep is None else encoding.keep
+    rows, cols = np.nonzero(keep & live[:, None])
+    ids, slot = np.unique(encoding.tokens.ids[rows, cols], return_inverse=True)
+    grads = np.zeros((ids.size, output.shape[1]))
+    np.add.at(grads, slot, per_token[rows])
+    return ids, grads
 
 
 # -- checkpoint io ----------------------------------------------------------

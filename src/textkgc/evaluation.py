@@ -9,7 +9,6 @@ adds a constant boost to the head's k-hop train-graph neighborhood.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
@@ -17,19 +16,14 @@ import numpy as np
 
 from . import encoder as enc
 from .errors import KgcError, UnknownIdError
-from .graph import (
-    KnowledgeGraph,
-    Triple,
-    augment_description,
-    classify_relation,
-    k_hop_neighbors,
-)
+from .graph import KnowledgeGraph, Triple, augment_description, k_hop_neighbors
 
 TAIL_DIRECTION = "tail"
 HEAD_DIRECTION = "head"
 DIRECTIONS = (TAIL_DIRECTION, HEAD_DIRECTION)
 HITS_LEVELS = (1, 3, 10)
 UNKNOWN_CATEGORY = "unknown"
+INDEX_CHUNK = 256  # entities encoded per forward pass; bounds the (chunk, L, d) gather
 
 
 @dataclass(frozen=True)
@@ -66,24 +60,17 @@ def build_index(
     g: KnowledgeGraph,
     params: enc.EncoderParams,
     max_tokens: int = enc.DEFAULT_MAX_TOKENS,
-    counter: Optional[enc.ForwardCounter] = None,
-    workers: int = 1,
 ) -> EntityEmbeddingIndex:
     """Encode every entity's augmented description once, in eval mode."""
     ids = sorted(g.entities)
     if not ids:
         raise KgcError("graph has no entities to index")
-
-    def encode(entity_id: str) -> np.ndarray:
-        tokens = enc.tokenize(augment_description(g, entity_id), params.buckets, max_tokens)
-        return enc.encode_tail(params, tokens, counter=counter)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(encode, ids))
-    else:
-        rows = [encode(e) for e in ids]
-    return EntityEmbeddingIndex(ids, np.stack(rows), forward_passes=len(ids))
+    matrix = np.empty((len(ids), params.dim))
+    for start in range(0, len(ids), INDEX_CHUNK):
+        chunk = ids[start : start + INDEX_CHUNK]
+        texts = [enc.tokenize(augment_description(g, e), params.buckets, max_tokens) for e in chunk]
+        matrix[start : start + len(chunk)] = enc.forward_tail(params, enc.TokenIds.pad(texts)).output
+    return EntityEmbeddingIndex(ids, matrix, forward_passes=len(ids))
 
 
 def index_from_precomputed(
@@ -103,11 +90,11 @@ def query_vector(
     head: str,
     relation: str,
     max_tokens: int = enc.DEFAULT_MAX_TOKENS,
-    counter: Optional[enc.ForwardCounter] = None,
 ) -> np.ndarray:
     h_tokens = enc.tokenize(augment_description(g, head), params.buckets, max_tokens)
     r_tokens = enc.tokenize(g.relation(relation).description, params.buckets, max_tokens)
-    return enc.encode_hr(params, h_tokens, r_tokens, counter=counter, max_tokens=max_tokens)
+    query = enc.combine_query_tokens(h_tokens, r_tokens, params.buckets, max_tokens)
+    return enc.forward_hr(params, enc.TokenIds.pad([query])).output[0]
 
 
 def rerank_scores(
@@ -134,9 +121,10 @@ def _candidate_scores(
     relation: str,
     rerank: Optional[RerankConfig],
     max_tokens: int,
-    counter: Optional[enc.ForwardCounter],
 ) -> np.ndarray:
-    scores = idx.matrix @ query_vector(g, params, head, relation, max_tokens, counter)
+    # one dot per row, each summed the same way, so identical rows tie exactly
+    # (a BLAS matrix-vector product sums some rows in another order)
+    scores = np.einsum("ij,j->i", idx.matrix, query_vector(g, params, head, relation, max_tokens))
     if rerank is not None and rerank.alpha != 0.0:
         hood = k_hop_neighbors(g, head, rerank.hops)
         if hood:
@@ -151,7 +139,6 @@ def rank_one(
     triple: Triple,
     rerank: Optional[RerankConfig] = None,
     max_tokens: int = enc.DEFAULT_MAX_TOKENS,
-    counter: Optional[enc.ForwardCounter] = None,
 ) -> float:
     """Filtered rank of the triple's tail among all entities.
 
@@ -162,7 +149,7 @@ def rank_one(
     target_row = idx.row_of.get(t)
     if target_row is None:
         raise UnknownIdError(f"unknown entity id: {t!r}")
-    scores = _candidate_scores(g, idx, params, h, r, rerank, max_tokens, counter)
+    scores = _candidate_scores(g, idx, params, h, r, rerank, max_tokens)
     target_score = scores[target_row]
     drop = np.zeros(len(scores), dtype=bool)
     for e in g.known_tails(h, r):
@@ -226,10 +213,8 @@ def evaluate(
     split: str = "test",
     rerank: Optional[RerankConfig] = None,
     max_tokens: int = enc.DEFAULT_MAX_TOKENS,
-    workers: int = 1,
-    counter: Optional[enc.ForwardCounter] = None,
 ) -> RankingResult:
-    """Rank every triple of the split; inverse rows count as head prediction.
+    """Rank every triple of the split in order; inverse rows count as head prediction.
 
     Overall metrics are the mean of the two directional metric sets, and
     ``forward_passes`` adds one query encoding per triple to the index cost.
@@ -240,21 +225,15 @@ def evaluate(
     if not triples:
         raise KgcError(f"split {split!r} has no triples")
 
-    def work(triple: Triple) -> TripleRanking:
-        rank = rank_one(g, idx, params, triple, rerank, max_tokens, counter)
-        relation = g.relation(triple.relation)
-        direction = HEAD_DIRECTION if relation.is_inverse else TAIL_DIRECTION
-        try:
-            category = classify_relation(g, triple.relation)
-        except KgcError:
-            category = UNKNOWN_CATEGORY
-        return TripleRanking(triple, direction, rank, category)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rankings = list(pool.map(work, triples))
-    else:
-        rankings = [work(t) for t in triples]
+    rankings = [
+        TripleRanking(
+            triple,
+            HEAD_DIRECTION if g.relation(triple.relation).is_inverse else TAIL_DIRECTION,
+            rank_one(g, idx, params, triple, rerank, max_tokens),
+            g.relation_category(triple.relation) or UNKNOWN_CATEGORY,
+        )
+        for triple in triples
+    ]
 
     per_direction = {}
     for direction in DIRECTIONS:
@@ -285,7 +264,6 @@ def predict_topk(
     k: int,
     rerank: Optional[RerankConfig] = None,
     max_tokens: int = enc.DEFAULT_MAX_TOKENS,
-    counter: Optional[enc.ForwardCounter] = None,
 ) -> list[tuple[str, float, bool]]:
     """Top-k candidates by score, unfiltered; known-true tails are flagged.
 
@@ -296,7 +274,7 @@ def predict_topk(
         raise KgcError(f"k must be >= 1, got {k}")
     g.entity(head)
     g.relation(relation)
-    scores = _candidate_scores(g, idx, params, head, relation, rerank, max_tokens, counter)
+    scores = _candidate_scores(g, idx, params, head, relation, rerank, max_tokens)
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], idx.entity_ids[i]))
     known = g.known_tails(head, relation)
     return [

@@ -59,6 +59,8 @@ class KnowledgeGraph:
     * ``adjacency``: per-head list of ``(relation, tail)`` over the train split
     * undirected train neighbors (used for k-hop walks and text augmentation)
     * ``filter_index``: membership set over all splits, for filtered ranking
+
+    Relation categories are computed on first use and kept.
     """
 
     def __init__(
@@ -112,6 +114,7 @@ class KnowledgeGraph:
             unknown_ids=0,
         )
         self.load_report = report
+        self._categories: dict[str, Optional[str]] = {}
 
     def _collect_unknown_ids(self) -> set[str]:
         unknown: set[str] = set()
@@ -180,6 +183,16 @@ class KnowledgeGraph:
         if inverse_id not in self._relations:
             raise KgcError(f"graph has no inverse for relation {relation_id!r}; augment it first")
         return inverse_id
+
+    def relation_category(self, relation_id: str) -> Optional[str]:
+        """``classify_relation`` of the relation, or None when it cannot be
+        classified; each relation is classified once per graph."""
+        if relation_id not in self._categories:
+            try:
+                self._categories[relation_id] = classify_relation(self, relation_id)
+            except KgcError:
+                self._categories[relation_id] = None
+        return self._categories[relation_id]
 
 
 def _dedup(triples: Iterable[Triple]) -> tuple[tuple[Triple, ...], int]:

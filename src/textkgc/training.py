@@ -3,9 +3,9 @@
 Each step encodes a shuffled batch of (head, relation) queries and tails
 (plus heads-as-candidates when self-negatives are on), assembles the
 candidate matrix, computes the configured loss with exact gradients,
-backpropagates into sparse per-bucket table gradients, clips by global norm,
-and applies a decoupled-weight-decay adaptive update under a linear
-warmup/decay schedule.  All randomness comes from named streams of one seed,
+backpropagates into the gradients of the touched table rows, clips by
+global norm, and applies a decoupled-weight-decay adaptive update under a
+linear warmup/decay schedule.  All randomness comes from named streams of one seed,
 so logs and checkpoints are bit-identical across runs at a fixed seed.
 """
 
@@ -53,7 +53,7 @@ class TrainConfig:
         self.negatives = frozenset(s.lower() for s in self.negatives)
         unknown = self.negatives - set(NEGATIVE_SOURCES)
         if unknown:
-            raise KgcError(f"unknown negative sources: {sorted(unknown)}")
+            raise KgcError(f"unknown negative sources: {', '.join(sorted(unknown))}")
         if not self.negatives:
             raise KgcError("at least one negative source is required")
         if "pb" in self.negatives and "ib" not in self.negatives:
@@ -129,13 +129,6 @@ def clip_gradients(grads: enc.GradientBuffer, max_norm: float) -> enc.GradientBu
     return grads
 
 
-def _dense(grads: dict[int, np.ndarray], shape: tuple[int, int]) -> np.ndarray:
-    out = np.zeros(shape)
-    for bucket, vec in grads.items():
-        out[bucket] = vec
-    return out
-
-
 def apply_update(
     params: enc.EncoderParams,
     state: OptimizerState,
@@ -153,12 +146,13 @@ def apply_update(
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
 
-    for table_name, grad_map, m, v in (
-        (enc.HR_TABLE, grads.hr, state.m_hr, state.v_hr),
-        (enc.TAIL_TABLE, grads.tail, state.m_tail, state.v_tail),
+    for table_name, ids, rows, m, v in (
+        (enc.HR_TABLE, grads.hr_ids, grads.hr, state.m_hr, state.v_hr),
+        (enc.TAIL_TABLE, grads.tail_ids, grads.tail, state.m_tail, state.v_tail),
     ):
         table = params.table(table_name)
-        g = _dense(grad_map, table.shape)
+        g = np.zeros(table.shape)
+        g[ids] = rows
         with np.errstate(over="ignore", invalid="ignore"):  # finiteness is checked below
             m *= ADAM_BETA1
             m += (1.0 - ADAM_BETA1) * g
@@ -179,84 +173,74 @@ def apply_update(
     return params, state
 
 
-@dataclass
-class TripleTokens:
-    """Pre-tokenized text for one training triple.
+@dataclass(frozen=True)
+class TrainTokens:
+    """Token ids of the train split, one padded matrix per encoder role.
 
+    Row i belongs to train triple i: ``query`` holds its head text, the
+    separator and its relation text; ``tail`` its tail text; ``head`` its
+    head text again, encoded on the candidate table as a self-negative.
     The head text excludes the tail's name from its neighbor augmentation
-    (and vice versa) so the answer never leaks into the input.  Self-negative
-    encodings reuse the head tokens on the candidate table.
+    (and vice versa) so the answer never leaks into the input.
     """
 
-    head: list[int]
-    rel: list[int]
-    tail: list[int]
+    query: enc.TokenIds
+    tail: enc.TokenIds
+    head: enc.TokenIds
+
+    def __getitem__(self, rows) -> "TrainTokens":
+        return TrainTokens(self.query[rows], self.tail[rows], self.head[rows])
 
 
-def build_token_cache(g: KnowledgeGraph, cfg: TrainConfig, buckets: int) -> list[TripleTokens]:
-    cache = []
+def build_token_cache(g: KnowledgeGraph, cfg: TrainConfig, buckets: int) -> TrainTokens:
+    """Tokenize every train triple once; each distinct text is hashed once."""
+    seen: dict[str, list[int]] = {}
+
+    def tokens(text: str) -> list[int]:
+        hit = seen.get(text)
+        if hit is None:
+            hit = seen[text] = enc.tokenize(text, buckets, cfg.max_tokens)
+        return hit
+
+    queries, tails, heads = [], [], []
     for h, r, t in g.triples("train"):
-        h_text = augment_description(g, h, exclude=t)
-        t_text = augment_description(g, t, exclude=h)
-        r_text = g.relation(r).description
-        cache.append(
-            TripleTokens(
-                tokenize_cached(h_text, buckets, cfg.max_tokens),
-                tokenize_cached(r_text, buckets, cfg.max_tokens),
-                tokenize_cached(t_text, buckets, cfg.max_tokens),
-            )
-        )
-    return cache
-
-
-_token_cache: dict[tuple[str, int, int], list[int]] = {}
-
-
-def tokenize_cached(text: str, buckets: int, max_tokens: int) -> list[int]:
-    key = (text, buckets, max_tokens)
-    hit = _token_cache.get(key)
-    if hit is None:
-        hit = enc.tokenize(text, buckets, max_tokens)
-        if len(_token_cache) < 500_000:
-            _token_cache[key] = hit
-    return hit
+        head = tokens(augment_description(g, h, exclude=t))
+        relation = tokens(g.relation(r).description)
+        queries.append(enc.combine_query_tokens(head, relation, buckets, cfg.max_tokens))
+        tails.append(tokens(augment_description(g, t, exclude=h)))
+        heads.append(head)
+    return TrainTokens(enc.TokenIds.pad(queries), enc.TokenIds.pad(tails), enc.TokenIds.pad(heads))
 
 
 def run_batch(
     g: KnowledgeGraph,
     params: enc.EncoderParams,
     rows: Sequence[Triple],
-    tokens: Sequence[TripleTokens],
+    tokens: TrainTokens,
     queue: ct.PreBatchQueue,
     cfg: TrainConfig,
     dropout_rng: Optional[np.random.Generator],
     negative_rng: Optional[np.random.Generator] = None,
-    counter: Optional[enc.ForwardCounter] = None,
 ) -> tuple[float, enc.GradientBuffer, ct.CandidateMatrix, ct.TrainingBatch]:
     """Forward and backward pass for one batch; no parameter update.
 
-    Returns the loss, the accumulated gradient buffer, the candidate matrix,
-    and the encoded batch (whose tail embeddings feed the queue).
+    ``tokens`` holds the batch's rows only.  Queries are encoded in one pass
+    on the query table; tails, then heads as self-negatives, in one pass on
+    the candidate table, so dropout draws come in that order.  Returns the
+    loss, the gradient buffer, the candidate matrix, and the encoded batch
+    (whose tail embeddings feed the queue).
     """
     use_sn = "sn" in cfg.negatives
-    hr_records = [
-        enc.forward_hr(params, tk.head, tk.rel, cfg.dropout, dropout_rng, counter, cfg.max_tokens)
-        for tk in tokens
-    ]
-    tail_records = [
-        enc.forward_tail(params, tk.tail, cfg.dropout, dropout_rng, counter) for tk in tokens
-    ]
-    self_records = (
-        [enc.forward_tail(params, tk.head, cfg.dropout, dropout_rng, counter) for tk in tokens]
-        if use_sn
-        else None
-    )
+    B = len(rows)
+    hr_enc = enc.forward_hr(params, tokens.query, cfg.dropout, dropout_rng)
+    candidates = enc.TokenIds.concat([tokens.tail, tokens.head]) if use_sn else tokens.tail
+    cand_enc = enc.forward_tail(params, candidates, cfg.dropout, dropout_rng)
 
     batch = ct.TrainingBatch(
         rows=list(rows),
-        hr_embs=np.stack([r.output for r in hr_records]),
-        tail_embs=np.stack([r.output for r in tail_records]),
-        self_embs=np.stack([r.output for r in self_records]) if use_sn else None,
+        hr_embs=hr_enc.output,
+        tail_embs=cand_enc.output[:B],
+        self_embs=cand_enc.output[B:] if use_sn else None,
     )
     matrix = ct.assemble_candidates(g, batch, queue, use_sn)
     if "ib" not in cfg.negatives:
@@ -275,25 +259,19 @@ def run_batch(
         loss, grad_scores = ct.margin_tau_loss(matrix, cfg.loss, cfg.margin_tau_temperature)
         grad_tau = 0.0
 
-    B = batch.size
     Q = len(queue)
     grad_hr = grad_scores[:, :B] @ batch.tail_embs
     if Q:
         grad_hr += grad_scores[:, B : B + Q] @ queue.embeddings()
+    grad_cand = grad_scores[:, :B].T @ batch.hr_embs
     if use_sn:
-        grad_hr += grad_scores[:, matrix.sn_column][:, None] * batch.self_embs
-    grad_tail = grad_scores[:, :B].T @ batch.hr_embs
-    grad_self = grad_scores[:, matrix.sn_column][:, None] * batch.hr_embs if use_sn else None
+        grad_sn = grad_scores[:, matrix.sn_column][:, None]
+        grad_hr += grad_sn * batch.self_embs
+        grad_cand = np.vstack([grad_cand, grad_sn * batch.hr_embs])
 
-    buffer = enc.GradientBuffer()
-    buffer.log_inv_tau = grad_tau
-    for i, record in enumerate(hr_records):
-        enc.encode_backward(params, record, grad_hr[i], buffer)
-    for i, record in enumerate(tail_records):
-        enc.encode_backward(params, record, grad_tail[i], buffer)
-    if use_sn:
-        for i, record in enumerate(self_records):
-            enc.encode_backward(params, record, grad_self[i], buffer)
+    hr_ids, hr_grads = enc.encode_backward(hr_enc, grad_hr)
+    tail_ids, tail_grads = enc.encode_backward(cand_enc, grad_cand)
+    buffer = enc.GradientBuffer(hr_ids, hr_grads, tail_ids, tail_grads, grad_tau)
     return loss, buffer, matrix, batch
 
 
@@ -313,7 +291,8 @@ def train(
     The graph must be inverse-augmented.  A checkpoint is written at the end
     of every epoch when a path is given.  Each log line reads
     ``step=<n> loss=<f> lr=<f> tau=<f> fwd=<n>`` where ``fwd`` is the
-    cumulative encoder-invocation count.
+    cumulative count of encoded texts: two per row (query and tail), three
+    with self-negatives.
     """
     if not g.inverse_augmented:
         raise KgcError("training requires an inverse-augmented graph")
@@ -321,8 +300,6 @@ def train(
     n = len(triples)
     if n < 2:
         raise KgcError(f"need at least 2 training triples, got {n}")
-    if "pb" in cfg.negatives and "ib" not in cfg.negatives:
-        raise KgcError("pre-batch negatives require in-batch negatives")
 
     shuffle_rng = named_stream(cfg.seed, "shuffle")
     dropout_rng = named_stream(cfg.seed, "dropout")
@@ -337,7 +314,8 @@ def train(
     use_pb = "pb" in cfg.negatives
     queue = ct.PreBatchQueue(cfg.pre_batches * cfg.batch_size if use_pb else 0)
     state = OptimizerState.zeros(params.buckets, params.dim)
-    counter = enc.ForwardCounter()
+    texts_per_row = 3 if "sn" in cfg.negatives else 2
+    encoded = 0
     log_lines: list[str] = []
     global_step = 0
 
@@ -348,13 +326,13 @@ def train(
             if chunk.size < 2:
                 continue
             rows = [triples[i] for i in chunk]
-            row_tokens = [tokens[i] for i in chunk]
             lr = lr_at(global_step, cfg, total_steps)
             tau_now = enc.temperature(params.log_inv_tau, cfg.loss.tau_floor)
             with np.errstate(over="ignore", invalid="ignore"):  # loss checked below
                 loss, buffer, _, batch = run_batch(
-                    g, params, rows, row_tokens, queue, cfg, dropout_rng, negative_rng, counter
+                    g, params, rows, tokens[chunk], queue, cfg, dropout_rng, negative_rng
                 )
+            encoded += texts_per_row * len(rows)
             if not math.isfinite(loss):
                 raise NumericError(f"non-finite loss at step {global_step}")
             clip_gradients(buffer, cfg.grad_clip)
@@ -362,7 +340,7 @@ def train(
             if use_pb:
                 queue.push(batch.tail_embs, [row.tail for row in rows])
             log_lines.append(
-                f"step={global_step} loss={loss!r} lr={lr!r} tau={tau_now!r} fwd={counter.count}"
+                f"step={global_step} loss={loss!r} lr={lr!r} tau={tau_now!r} fwd={encoded}"
             )
             global_step += 1
         if checkpoint_path is not None:

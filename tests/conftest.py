@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from textkgc import encoder as enc
 from textkgc.contrastive import IN_BATCH, CandidateMatrix
 from textkgc.encoder import EncoderParams
 from textkgc.graph import Entity, KnowledgeGraph, Relation, Triple, add_inverse_triples
@@ -69,3 +70,23 @@ def plain_matrix(scores, provenance=None, mask=None, sn_column=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def encoded_rows(monkeypatch):
+    """Count the texts encoded through ``forward_hr`` and ``forward_tail``.
+
+    Both are wrapped on the encoder module, which the package calls them
+    through; ``encoded_rows["rows"]`` adds up the rows of every call.
+    """
+    counts = {"rows": 0}
+    for name in ("forward_hr", "forward_tail"):
+        original = getattr(enc, name)
+
+        def counted(*args, _original=original, **kwargs):
+            encoding = _original(*args, **kwargs)
+            counts["rows"] += encoding.output.shape[0]
+            return encoding
+
+        monkeypatch.setattr(enc, name, counted)
+    return counts

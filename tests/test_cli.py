@@ -37,7 +37,7 @@ def data_flags(dirpath):
 
 FAST_TRAIN = [
     "--buckets", "256", "--dim", "8", "--epochs", "2", "--batch-size", "4",
-    "--threads", "1", "--seed", "11",
+    "--seed", "11",
 ]
 
 
@@ -100,6 +100,13 @@ def test_train_rejects_pb_without_ib(tmp_path, capsys):
     assert "pre-batch" in capsys.readouterr().err
 
 
+def test_train_rejects_unknown_negative_source(tmp_path, capsys):
+    flags = data_flags(tmp_path)
+    code = main(["train", *flags, *FAST_TRAIN, "--negatives", "ib,hard,zz"])
+    assert code == EXIT_USAGE
+    assert "unknown negative sources: hard, zz" in capsys.readouterr().err
+
+
 def test_train_divergence_exits_numeric(tmp_path, capsys):
     flags = data_flags(tmp_path)
     code = main([
@@ -131,7 +138,7 @@ def test_missing_data_file(tmp_path, capsys):
 
 def test_evaluate_report_content(trained, tmp_path, capsys):
     flags, out = trained
-    code = main(["evaluate", *flags, "--checkpoint", str(out), "--threads", "1"])
+    code = main(["evaluate", *flags, "--checkpoint", str(out)])
     assert code == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert {"mrr", "hits1", "hits3", "hits10", "tail", "head",

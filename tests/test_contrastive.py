@@ -186,6 +186,36 @@ def test_limit_negatives_caps_each_row(rng):
         limit_negatives(m, -1, rng)
 
 
+def _limit_negatives_per_cell(mask, max_negatives, rng):
+    """Reference cap: one row at a time, one cell at a time."""
+    B, C = mask.shape
+    for i in range(B):
+        negs = [j for j in range(C) if mask[i, j] and j != i]
+        if len(negs) > max_negatives:
+            keep = set(rng.choice(negs, size=max_negatives, replace=False).tolist())
+            for j in negs:
+                if j not in keep:
+                    mask[i, j] = False
+
+
+def test_limit_negatives_matches_per_cell_reference(rng):
+    for _ in range(200):
+        seed = int(rng.integers(1 << 30))
+        B = int(rng.integers(1, 9))
+        C = B + int(rng.integers(0, 12))
+        mask = rng.random((B, C)) < rng.uniform(0.2, 1.0)
+        mask[np.arange(B), np.arange(B)] = rng.random(B) < 0.9
+        cap = int(rng.integers(0, C + 1))
+        want = mask.copy()
+        want_rng = np.random.default_rng(seed)
+        _limit_negatives_per_cell(want, cap, want_rng)
+        m = plain_matrix(np.zeros((B, C)), mask=mask)
+        got_rng = np.random.default_rng(seed)
+        limit_negatives(m, cap, got_rng)
+        assert np.array_equal(m.mask, want)
+        assert got_rng.random() == want_rng.random()  # same draws consumed
+
+
 def test_limit_negatives_noop_below_cap(rng):
     m = plain_matrix(rng.normal(size=(2, 5)))
     before = m.mask.copy()

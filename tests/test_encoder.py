@@ -9,13 +9,11 @@ from textkgc.encoder import (
     CHECKPOINT_MAGIC,
     DEFAULT_MAX_TOKENS,
     EncoderParams,
-    ForwardCounter,
     GradientBuffer,
     PrecomputedEntityEncoder,
+    TokenIds,
     combine_query_tokens,
     encode_backward,
-    encode_hr,
-    encode_tail,
     forward_hr,
     forward_tail,
     load_checkpoint,
@@ -28,6 +26,24 @@ from textkgc.errors import CheckpointError, KgcError, NumericError, UnknownIdErr
 from textkgc.randomness import fnv1a_64, named_stream
 
 from conftest import tiny_params
+
+
+def encode_tail(params, tokens, dropout=0.0, rng=None):
+    """One text's candidate vector, encoded as a batch of one."""
+    return forward_tail(params, TokenIds.pad([tokens]), dropout, rng).output[0]
+
+
+def encode_hr(params, h_tokens, r_tokens):
+    """One (head, relation) query vector, encoded as a batch of one."""
+    query = combine_query_tokens(h_tokens, r_tokens, params.buckets)
+    return forward_hr(params, TokenIds.pad([query])).output[0]
+
+
+def backward_one(params, tokens, upstream):
+    """Gradient rows, keyed by bucket, of one text encoded alone on the candidate table."""
+    encoding = forward_tail(params, TokenIds.pad([tokens]))
+    ids, grads = encode_backward(encoding, np.asarray(upstream, dtype=float)[None, :])
+    return encoding, dict(zip(ids.tolist(), grads))
 
 
 # -- hashing and tokenization ------------------------------------------------
@@ -147,15 +163,6 @@ def test_relation_awareness():
     assert not np.allclose(encode_hr(p, h, r1), encode_hr(p, h, r2), atol=1e-6)
 
 
-def test_forward_counter_tracks_every_invocation():
-    p = tiny_params()
-    counter = ForwardCounter()
-    encode_tail(p, [1, 2], counter=counter)
-    encode_tail(p, [], counter=counter)  # degenerate still counts
-    encode_hr(p, [1], [2], counter=counter)
-    assert counter.count == 3
-
-
 def test_token_bucket_range_checked():
     p = tiny_params(buckets=8, dim=4)
     with pytest.raises(KgcError):
@@ -180,16 +187,16 @@ def test_dropout_mask_recorded_and_scaled(rng):
     toks = [1, 2, 3, 4, 5, 6]
     seen_drop = False
     for _ in range(50):
-        rec = forward_tail(p, toks, dropout=0.4, rng=rng)
+        rec = forward_tail(p, TokenIds.pad([toks]), dropout=0.4, rng=rng)
         assert rec.scale == pytest.approx(1.0 / 0.6)
-        kept = rec.keep
-        if rec.degenerate:
+        kept = rec.keep[0]
+        if rec.degenerate[0]:
             assert not kept.any()
             continue
         seen_drop = seen_drop or not kept.all()
         manual = (p.tail_table[toks] * kept[:, None]).sum(axis=0) * (rec.scale / len(toks))
-        assert np.allclose(rec.pre_norm, manual, atol=1e-15)
-        assert np.allclose(rec.output, manual / np.linalg.norm(manual), atol=1e-12)
+        assert np.allclose(rec.pre_norm[0], manual, atol=1e-15)
+        assert np.allclose(rec.output[0], manual / np.linalg.norm(manual), atol=1e-12)
     assert seen_drop
 
 
@@ -200,9 +207,9 @@ def test_all_rows_dropped_is_degenerate():
         def random(self, n):
             return np.zeros(n)
 
-    rec = forward_tail(p, [1, 2], dropout=0.9, rng=AlwaysDrop())
-    assert rec.degenerate
-    assert np.array_equal(rec.output, np.array([1.0, 0, 0, 0]))
+    rec = forward_tail(p, TokenIds.pad([[1, 2]]), dropout=0.9, rng=AlwaysDrop())
+    assert rec.degenerate[0]
+    assert np.array_equal(rec.output[0], np.array([1.0, 0, 0, 0]))
 
 
 # -- manual backward ---------------------------------------------------------
@@ -210,17 +217,18 @@ def test_all_rows_dropped_is_degenerate():
 
 def test_backward_zero_upstream_is_empty():
     p = tiny_params(buckets=8, dim=4)
-    rec = forward_tail(p, [1, 2, 3])
-    buf = encode_backward(p, rec, np.zeros(4))
-    assert all(np.allclose(g, 0) for _, _, g in buf.entries())
-    assert buf.global_norm() == 0.0
+    rec = forward_tail(p, TokenIds.pad([[1, 2, 3]]))
+    ids, grads = encode_backward(rec, np.zeros((1, 4)))
+    assert ids.tolist() == [1, 2, 3]
+    assert np.allclose(grads, 0)
+    assert GradientBuffer(ids, grads, ids, grads).global_norm() == 0.0
 
 
 def test_backward_radial_component_is_killed():
     p = tiny_params(buckets=8, dim=4, seed=5)
-    rec = forward_tail(p, [1, 2, 3])
-    buf = encode_backward(p, rec, 3.7 * rec.output)
-    for _, _, g in buf.entries():
+    rec = forward_tail(p, TokenIds.pad([[1, 2, 3]]))
+    _, grads = encode_backward(rec, 3.7 * rec.output)
+    for g in grads:
         assert np.abs(g).max() <= 1e-10
 
 
@@ -228,24 +236,24 @@ def test_backward_gradient_orthogonal_to_preactivation(rng):
     for _ in range(30):
         p = tiny_params(buckets=10, dim=8, seed=int(rng.integers(1 << 30)))
         toks = sorted(set(int(rng.integers(0, 9)) for _ in range(5)))
-        rec = forward_tail(p, toks)
-        buf = encode_backward(p, rec, rng.normal(size=8))
-        for _, _, g in buf.entries():
-            assert abs(float(g @ rec.pre_norm)) <= 1e-10
+        rec, grads = backward_one(p, toks, rng.normal(size=8))
+        for g in grads.values():
+            assert abs(float(g @ rec.pre_norm[0])) <= 1e-10
 
 
 def test_backward_degenerate_contributes_nothing():
     p = tiny_params(buckets=8, dim=4)
-    rec = forward_tail(p, [])
-    buf = encode_backward(p, rec, np.ones(4))
-    assert not buf.hr and not buf.tail
+    _, grads = backward_one(p, [], np.ones(4))
+    assert not grads
 
 
 def test_backward_shape_mismatch_rejected():
     p = tiny_params(buckets=8, dim=4)
-    rec = forward_tail(p, [1])
+    rec = forward_tail(p, TokenIds.pad([[1]]))
     with pytest.raises(KgcError):
-        encode_backward(p, rec, np.ones(5))
+        encode_backward(rec, np.ones((1, 5)))
+    with pytest.raises(KgcError):
+        encode_backward(rec, np.ones((2, 4)))
 
 
 def test_backward_matches_finite_differences(rng):
@@ -259,10 +267,9 @@ def test_backward_matches_finite_differences(rng):
         toks = [int(local.integers(0, buckets - 1)) for _ in range(int(local.integers(1, 7)))]
         upstream = local.normal(size=dim)
 
-        rec = forward_tail(p, toks)
-        buf = encode_backward(p, rec, upstream)
+        _, grads = backward_one(p, toks, upstream)
         for bucket in set(toks):
-            analytic = buf.tail[bucket]
+            analytic = grads[bucket]
             for j in range(dim):
                 orig = p.tail_table[bucket, j]
                 p.tail_table[bucket, j] = orig + step
@@ -277,25 +284,117 @@ def test_backward_matches_finite_differences(rng):
 
 def test_repeated_tokens_accumulate_gradient():
     p = tiny_params(buckets=8, dim=4, seed=9)
-    single = encode_backward(p, forward_tail(p, [3, 5]), np.ones(4))
-    doubled = encode_backward(p, forward_tail(p, [3, 3, 5, 5]), np.ones(4))
+    _, single = backward_one(p, [3, 5], np.ones(4))
+    _, doubled = backward_one(p, [3, 3, 5, 5], np.ones(4))
     # same pooled value, so the same upstream splits over twice the rows
-    assert np.allclose(doubled.tail[3], single.tail[3], atol=1e-12)
+    assert np.allclose(doubled[3], single[3], atol=1e-12)
+
+
+# -- batches against a per-text reference ------------------------------------
+
+
+def reference_forward(table, tokens, dropout, rng):
+    """One text on its own: mean of its kept rows, scaled, L2-normalized.
+
+    Returns the output and, unless the text is degenerate, what the
+    backward pass needs: (keep, scale, norm).
+    """
+    fallback = np.zeros(table.shape[1])
+    fallback[0] = 1.0
+    toks = np.asarray(tokens, dtype=np.int64)
+    if toks.size == 0:
+        return fallback, None
+    keep = rng.random(toks.size) >= dropout if dropout else np.ones(toks.size, dtype=bool)
+    scale = 1.0 / (1.0 - dropout)
+    pooled = (table[toks] * keep[:, None]).sum(axis=0) * (scale / toks.size)
+    norm = float(np.linalg.norm(pooled))
+    if norm == 0.0:
+        return fallback, None
+    return pooled / norm, (keep, scale, norm)
+
+
+def reference_backward(tokens, state, output, upstream, grads):
+    """Add one text's table-row gradients into ``grads`` (bucket -> row), token by token."""
+    if state is None:
+        return
+    keep, scale, norm = state
+    grad_pre = (upstream - float(upstream @ output) * output) / norm
+    per_row = grad_pre * (scale / len(tokens))
+    for token, kept in zip(tokens, keep):
+        if kept:
+            grads[token] = grads[token] + per_row if token in grads else per_row.copy()
+
+
+def random_texts(local, count, buckets):
+    texts = []
+    for _ in range(count):
+        n = int(local.integers(0, 9))
+        # a small alphabet makes repeated tokens common, within and across texts
+        texts.append([int(t) for t in local.integers(0, min(buckets - 1, 6), size=n)])
+    return texts
+
+
+def test_batched_forward_and_backward_match_per_text_reference(rng):
+    seen = {"empty": 0, "all_dropped": 0, "repeated": 0, "dropped_some": 0}
+    for trial in range(120):
+        seed = int(rng.integers(1 << 30))
+        local = np.random.default_rng(seed)
+        buckets, dim = int(local.integers(8, 20)), int(local.choice([2, 4, 8, 16]))
+        p = tiny_params(buckets=buckets, dim=dim, seed=seed)
+        texts = random_texts(local, int(local.integers(1, 12)), buckets)
+        dropout = float(local.choice([0.0, 0.3, 0.9]))
+        upstream = local.normal(size=(len(texts), dim))
+        for forward, table in ((forward_hr, p.hr_table), (forward_tail, p.tail_table)):
+            drng = np.random.default_rng(seed) if dropout else None
+            rec = forward(p, TokenIds.pad(texts), dropout, drng)
+            ids, grads = encode_backward(rec, upstream)
+
+            ref_rng = np.random.default_rng(seed)
+            ref_grads = {}
+            for i, text in enumerate(texts):
+                out, state = reference_forward(table, text, dropout, ref_rng)
+                assert np.abs(rec.output[i] - out).max() <= 1e-12, (trial, i)
+                assert bool(rec.degenerate[i]) == (state is None)
+                reference_backward(text, state, out, upstream[i], ref_grads)
+                seen["empty"] += not text
+                seen["all_dropped"] += bool(text) and state is None
+                seen["repeated"] += len(set(text)) < len(text)
+                seen["dropped_some"] += state is not None and not state[0].all()
+            assert ids.tolist() == sorted(ref_grads)
+            for bucket, row in zip(ids.tolist(), grads):
+                assert np.abs(row - ref_grads[bucket]).max() <= 1e-12, (trial, bucket)
+    assert all(count > 0 for count in seen.values()), seen
+
+
+def test_rows_encode_bitwise_alike_alone_and_in_any_batch(rng):
+    p = tiny_params(buckets=64, dim=16, seed=4)
+    texts = [[int(t) for t in rng.integers(0, 63, size=int(rng.integers(0, 13)))] for _ in range(40)]
+    texts[3] = []
+    whole = TokenIds.pad(texts)
+    for forward in (forward_hr, forward_tail):
+        alone = np.stack([forward(p, TokenIds.pad([text])).output[0] for text in texts])
+        assert forward(p, whole).output.tobytes() == alone.tobytes()
+        for start in range(0, len(texts), 7):  # chunks trimmed to their longest row
+            chunk = forward(p, whole[start : start + 7]).output
+            assert chunk.tobytes() == alone[start : start + 7].tobytes()
+        for _ in range(5):
+            rows = rng.permutation(len(texts))[: int(rng.integers(1, len(texts)))]
+            picked = forward(p, whole[rows]).output
+            assert picked.tobytes() == alone[rows].tobytes()
+        joined = forward(p, TokenIds.concat([whole[:10], whole[25:]])).output
+        assert joined.tobytes() == np.vstack([alone[:10], alone[25:]]).tobytes()
 
 
 def test_gradient_buffer_norm_scale_and_finite_check():
-    buf = GradientBuffer()
-    buf.add("hr", 1, np.array([3.0, 0.0]))
-    buf.add("tail", 2, np.array([0.0, 4.0]))
-    buf.log_inv_tau = 0.0
+    buf = GradientBuffer(np.array([1]), np.array([[3.0, 0.0]]), np.array([2]), np.array([[0.0, 4.0]]))
     assert buf.global_norm() == pytest.approx(5.0)
     buf.scale_(0.5)
     assert buf.global_norm() == pytest.approx(2.5)
-    buf.add("tail", 2, np.array([np.inf, 0.0]))
+    buf.tail[0] += np.array([np.inf, 0.0])
     with pytest.raises(NumericError, match=r"tail_table\[2\]"):
         buf.assert_finite()
-    bad_tau = GradientBuffer()
-    bad_tau.log_inv_tau = float("nan")
+    empty = (np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
+    bad_tau = GradientBuffer(*empty, *empty, log_inv_tau=float("nan"))
     with pytest.raises(NumericError, match="log_inv_tau"):
         bad_tau.assert_finite()
 

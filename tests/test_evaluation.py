@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from textkgc import evaluation as ev
+from textkgc import graph as kg
 from textkgc.encoder import (
-    ForwardCounter,
     PrecomputedEntityEncoder,
-    encode_tail,
+    TokenIds,
+    forward_tail,
     tokenize,
 )
 from textkgc.errors import KgcError, UnknownIdError
@@ -61,7 +63,7 @@ def rows_with_scores(query, forward_scores, inverse_query=None, inverse_scores=N
 # -- index construction ------------------------------------------------------
 
 
-def test_build_index_one_row_per_entity():
+def test_build_index_one_row_per_entity(encoded_rows):
     g = make_graph(
         train=[("a", "r", "b"), ("c", "r", "d")],
         test=[("a", "r", "d")],
@@ -69,11 +71,10 @@ def test_build_index_one_row_per_entity():
         augment=True,
     )
     params = tiny_params()
-    counter = ForwardCounter()
-    idx = build_index(g, params, counter=counter)
+    idx = build_index(g, params)
     assert idx.entity_ids == sorted(g.entities)
     assert idx.matrix.shape == (4, params.dim)
-    assert counter.count == 4
+    assert encoded_rows["rows"] == 4
     assert idx.forward_passes == 4
     norms = np.linalg.norm(idx.matrix, axis=1)
     assert np.allclose(norms, 1.0, atol=1e-12)
@@ -85,7 +86,7 @@ def test_build_index_rows_encode_augmented_descriptions():
     idx = build_index(g, params)
     for entity_id in idx.entity_ids:
         tokens = tokenize(augment_description(g, entity_id), params.buckets)
-        expected = encode_tail(params, tokens)
+        expected = forward_tail(params, TokenIds.pad([tokens])).output[0]
         assert np.array_equal(idx.matrix[idx.row_of[entity_id]], expected)
 
 
@@ -97,14 +98,17 @@ def test_build_index_is_deterministic_and_pure():
     assert np.array_equal(first.matrix, second.matrix)
 
 
-def test_build_index_parallel_matches_serial():
+def test_build_index_rows_do_not_depend_on_the_chunking(monkeypatch):
     rows = [(f"e{i}", "r", f"e{i + 1}") for i in range(12)]
-    g = make_graph(train=rows, augment=True)
-    params = tiny_params()
-    serial = build_index(g, params, workers=1)
-    threaded = build_index(g, params, workers=4)
-    assert serial.entity_ids == threaded.entity_ids
-    assert np.array_equal(serial.matrix, threaded.matrix)
+    descriptions = {f"e{i}": " ".join(f"w{j}" for j in range(i % 5)) for i in range(13)}
+    g = make_graph(train=rows, descriptions=descriptions, augment=True)
+    params = tiny_params(buckets=64, dim=16)
+    whole = build_index(g, params)
+    for chunk in (1, 3, 5):
+        monkeypatch.setattr(ev, "INDEX_CHUNK", chunk)
+        chunked = build_index(g, params)
+        assert chunked.entity_ids == whole.entity_ids
+        assert chunked.matrix.tobytes() == whole.matrix.tobytes()
 
 
 # -- rank_one ----------------------------------------------------------------
@@ -185,7 +189,11 @@ def test_rank_one_matches_exhaustive_oracle():
         idx = build_index(g, params)
         for triple in g.triples("test"):
             got = rank_one(g, idx, params, triple)
-            scores = idx.matrix @ query_vector(g, params, triple.head, triple.relation)
+            # the row-wise dot rank_one scores with: texts that hold the same
+            # colliding buckets in another order score an ulp apart, and the
+            # oracle must see those gaps as the program does
+            q = query_vector(g, params, triple.head, triple.relation)
+            scores = np.einsum("ij,j->i", idx.matrix, q)
             target = scores[idx.row_of[triple.tail]]
             known = g.known_tails(triple.head, triple.relation)
             kept = [
@@ -345,25 +353,42 @@ def test_evaluate_split_selection_and_errors():
         evaluate(plain, build_index(plain, params), params)
 
 
-def test_evaluate_parallel_matches_serial():
-    rows = [(f"h{i}", "r", f"t{i % 4}") for i in range(8)]
-    g = make_graph(train=rows, test=[("h0", "r", "t1"), ("h2", "r", "t3")], augment=True)
+def test_evaluate_classifies_each_relation_once(monkeypatch):
+    def graph():
+        rows = [(f"h{i}", f"r{i % 3}", f"t{i % 4}") for i in range(12)]
+        test_rows = [("h0", "r0", "t1"), ("h2", "r2", "t3"), ("h4", "r1", "t0"), ("h3", "r0", "t2")]
+        return make_graph(train=rows, test=test_rows + [("h1", "x", "t1")], augment=True)
+
+    g = graph()
     params = tiny_params(seed=5)
     idx = build_index(g, params)
-    serial = evaluate(g, idx, params, workers=1)
-    threaded = evaluate(g, idx, params, workers=3)
-    assert serial.report() == threaded.report()
-    assert serial.rankings == threaded.rankings
+    expected = evaluate(g, idx, params).report()
+
+    g = graph()
+    calls = []
+    original = kg.classify_relation
+
+    def counted(graph, relation_id, *args):
+        calls.append(relation_id)
+        return original(graph, relation_id, *args)
+
+    monkeypatch.setattr(kg, "classify_relation", counted)
+    first = evaluate(g, idx, params)
+    distinct = {t.relation for t in g.triples("test")}
+    assert sorted(calls) == sorted(distinct)  # once each, unknown "x" included
+    second = evaluate(g, idx, params)
+    assert len(calls) == len(distinct)  # a second evaluation reuses them
+    assert first.report() == second.report() == expected
+    assert first.by_category["unknown"]["count"] == 2
 
 
-def test_evaluate_counts_forward_passes_through_counter():
+def test_evaluate_counts_forward_passes_through_counter(encoded_rows):
     g = make_graph(train=[("a", "r", "b"), ("b", "r", "c")], test=[("a", "r", "c")], augment=True)
     params = tiny_params()
-    counter = ForwardCounter()
-    idx = build_index(g, params, counter=counter)
-    result = evaluate(g, idx, params, counter=counter)
+    idx = build_index(g, params)
+    result = evaluate(g, idx, params)
     # 3 entities indexed once, then one query encoding per augmented test row
-    assert counter.count == 3 + 2
+    assert encoded_rows["rows"] == 3 + 2
     assert result.forward_passes == 5
 
 
@@ -393,6 +418,41 @@ def test_predict_topk_tie_breaks_toward_smaller_id():
     idx = crafted_index(sorted(g.entities), rows)
     out = predict_topk(g, idx, params, "a", "r", k=2)
     assert [row[0] for row in out] == ["b", "c"]
+
+
+def test_identical_rows_tie_exactly_in_rank_and_topk():
+    # matrix-vector BLAS kernels sum the trailing rows of a matrix in another
+    # order, which splits bitwise-identical rows by a rounding step
+    others = [f"o{i}" for i in range(4)]
+    twins = [f"t{i}" for i in range(7)]
+    g = make_graph(train=[("a", "r", "o0")] + [("o1", "q", t) for t in twins], augment=True)
+    params = tiny_params(buckets=64, dim=32, seed=8)
+    q = query_vector(g, params, "a", "r")
+    ids = sorted(g.entities)  # a, o0..o3, t0..t6
+    rng = np.random.default_rng(3)
+    twin = rng.normal(size=32)
+    twin /= np.linalg.norm(twin)
+    rows = []
+    for e in ids:
+        if e in twins:
+            rows.append(twin)
+        else:
+            v = rng.normal(size=32)
+            rows.append(v / np.linalg.norm(v))
+    idx = crafted_index(ids, rows)
+    twin_rows = [idx.row_of[t] for t in twins]
+    scores = np.einsum("ij,j->i", idx.matrix, q)
+    twin_score = float(twin @ q)
+
+    rank = rank_one(g, idx, params, Triple("a", "r", "t3"))
+    others_above = sum(1 for e in ids if e not in twins and scores[idx.row_of[e]] > twin_score)
+    assert rank == 1.0 + others_above + (7 - 1) / 2.0
+
+    top = predict_topk(g, idx, params, "a", "r", k=len(ids))
+    tied = [(e, s) for e, s, _ in top if e in twins]
+    assert [e for e, _ in tied] == twins  # ordered by id
+    assert len({s for _, s in tied}) == 1  # bitwise-equal scores
+    assert all(scores[r] == scores[twin_rows[0]] for r in twin_rows)
 
 
 def test_predict_topk_clamps_k_and_validates():

@@ -7,13 +7,13 @@ import pytest
 
 from textkgc.encoder import (
     EncoderParams,
-    ForwardCounter,
     GradientBuffer,
     load_checkpoint,
     temperature,
 )
+from textkgc import encoder as enc
 from textkgc.errors import KgcError, NumericError
-from textkgc.graph import add_inverse_triples
+from textkgc.graph import add_inverse_triples, augment_description
 from textkgc.randomness import named_stream
 from textkgc.contrastive import PreBatchQueue
 from textkgc.training import (
@@ -102,28 +102,30 @@ def test_lr_schedule_rejects_out_of_range_step():
 # -- gradient clipping -------------------------------------------------------
 
 
+def _rows(entries, dim):
+    entries = sorted(entries or [])
+    ids = np.array([idx for idx, _ in entries], dtype=np.int64)
+    rows = np.array([vec for _, vec in entries], dtype=float).reshape(len(entries), dim)
+    return ids, rows
+
+
 def _buffer(hr=None, tail=None, tau=0.0, dim=4):
-    buf = GradientBuffer()
-    for idx, vec in hr or []:
-        buf.add("hr", idx, np.asarray(vec, dtype=float))
-    for idx, vec in tail or []:
-        buf.add("tail", idx, np.asarray(vec, dtype=float))
-    buf.log_inv_tau = tau
-    return buf
+    """Gradient buffer from (bucket, row) pairs per table."""
+    return GradientBuffer(*_rows(hr, dim), *_rows(tail, dim), log_inv_tau=tau)
 
 
 def test_clip_leaves_small_gradients_alone():
     buf = _buffer(hr=[(0, [3.0, 0.0, 0.0, 0.0])], tail=[(1, [0.0, 4.0, 0.0, 0.0])])
     clip_gradients(buf, max_norm=10.0)
     assert buf.hr[0].tolist() == [3.0, 0.0, 0.0, 0.0]
-    assert buf.tail[1].tolist() == [0.0, 4.0, 0.0, 0.0]
+    assert buf.tail[0].tolist() == [0.0, 4.0, 0.0, 0.0]
 
 
 def test_clip_scales_large_gradients_to_max_norm():
     buf = _buffer(hr=[(0, [12.0, 0.0, 0.0, 0.0])], tail=[(1, [0.0, 16.0, 0.0, 0.0])])
     clip_gradients(buf, max_norm=10.0)
     assert buf.hr[0][0] == pytest.approx(6.0, rel=1e-12)
-    assert buf.tail[1][1] == pytest.approx(8.0, rel=1e-12)
+    assert buf.tail[0][1] == pytest.approx(8.0, rel=1e-12)
 
 
 def test_clip_includes_temperature_in_global_norm(rng):
@@ -135,7 +137,7 @@ def test_clip_includes_temperature_in_global_norm(rng):
         )
         clip_gradients(buf, max_norm=5.0)
         norm = math.sqrt(
-            float((buf.hr[0] ** 2).sum() + (buf.tail[2] ** 2).sum()) + buf.log_inv_tau**2
+            float((buf.hr[0] ** 2).sum() + (buf.tail[0] ** 2).sum()) + buf.log_inv_tau**2
         )
         assert norm <= 5.0 + 1e-9
 
@@ -245,24 +247,59 @@ def test_train_config_normalizes_negatives_case():
     assert cfg.negatives == frozenset({"ib", "sn"})
 
 
+# -- token cache -------------------------------------------------------------
+
+
+def test_token_cache_holds_one_padded_matrix_per_role(monkeypatch):
+    g = chain_graph(4)
+    cfg = small_config(max_tokens=6)
+    original = enc.tokenize
+    hashed = []
+
+    def counted(text, *args):
+        hashed.append(text)
+        return original(text, *args)
+
+    monkeypatch.setattr(enc, "tokenize", counted)
+    cache = build_token_cache(g, cfg, buckets=64)
+    assert len(hashed) == len(set(hashed))  # each distinct text once per call
+    first = len(hashed)
+    build_token_cache(g, cfg, buckets=64)
+    assert len(hashed) == 2 * first  # nothing is kept between calls
+
+    def row(tokens, i):
+        assert not tokens.ids[i, tokens.lengths[i] :].any()  # zero padding
+        return tokens.ids[i, : tokens.lengths[i]].tolist()
+
+    triples = g.triples("train")
+    assert len(cache.query) == len(cache.tail) == len(cache.head) == len(triples)
+    for i, (h, r, t) in enumerate(triples):
+        head = original(augment_description(g, h, exclude=t), 64, 6)
+        rel = original(g.relation(r).description, 64, 6)
+        assert row(cache.query, i) == enc.combine_query_tokens(head, rel, 64, 6)
+        assert row(cache.tail, i) == original(augment_description(g, t, exclude=h), 64, 6)
+        assert row(cache.head, i) == head
+    picked = cache[np.array([3, 0])]
+    assert row(picked.tail, 0) == row(cache.tail, 3) and row(picked.tail, 1) == row(cache.tail, 0)
+
+
 # -- run_batch ---------------------------------------------------------------
 
 
-def test_run_batch_forward_pass_accounting():
+def test_run_batch_forward_pass_accounting(encoded_rows):
     g = chain_graph(6)
     params = tiny_params(buckets=64, dim=8)
     tokens = build_token_cache(g, small_config(), buckets=64)[:4]
     rows = g.triples("train")[:4]
     rng = np.random.default_rng(0)
 
-    counter = ForwardCounter()
-    run_batch(g, params, rows, tokens, PreBatchQueue(0), small_config(), rng, counter=counter)
-    assert counter.count == 2 * len(rows)
+    run_batch(g, params, rows, tokens, PreBatchQueue(0), small_config(), rng)
+    assert encoded_rows["rows"] == 2 * len(rows)
 
-    counter = ForwardCounter()
+    encoded_rows["rows"] = 0
     cfg_sn = small_config(negatives=frozenset({"ib", "sn"}))
-    run_batch(g, params, rows, tokens, PreBatchQueue(0), cfg_sn, rng, counter=counter)
-    assert counter.count == 3 * len(rows)
+    run_batch(g, params, rows, tokens, PreBatchQueue(0), cfg_sn, rng)
+    assert encoded_rows["rows"] == 3 * len(rows)
 
 
 def test_run_batch_matches_scalar_cross_check():
