@@ -17,13 +17,12 @@ All losses return exact analytic gradients with respect to the score matrix
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .encoder import temperature
+from .encoder import TAU_FLOOR, temperature
 from .errors import KgcError
 from .graph import KnowledgeGraph, Triple
 
@@ -38,14 +37,12 @@ class LossConfig:
 
     ``additive_margin`` is subtracted from the positive logit before the
     softmax; ``hinge_margin`` is the pairwise margin of the hinge losses;
-    ``pre_batch_weight`` scales pre-batch logits inside the softmax loss;
-    ``tau_floor`` keeps the learnable temperature away from zero.
+    ``pre_batch_weight`` scales pre-batch logits inside the softmax loss.
     """
 
     additive_margin: float = 0.02
     hinge_margin: float = 0.8
     pre_batch_weight: float = 0.5
-    tau_floor: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.additive_margin < 0:
@@ -54,8 +51,6 @@ class LossConfig:
             raise KgcError(f"hinge margin must be > 0, got {self.hinge_margin}")
         if not 0 < self.pre_batch_weight <= 1:
             raise KgcError(f"pre-batch weight must be in (0, 1], got {self.pre_batch_weight}")
-        if self.tau_floor <= 0:
-            raise KgcError(f"temperature floor must be > 0, got {self.tau_floor}")
 
 
 @dataclass
@@ -66,10 +61,6 @@ class TrainingBatch:
     hr_embs: np.ndarray  # (B, d) query vectors
     tail_embs: np.ndarray  # (B, d) positive tail vectors
     self_embs: Optional[np.ndarray] = None  # (B, d) heads encoded as candidates
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
 
 
 class PreBatchQueue:
@@ -83,26 +74,31 @@ class PreBatchQueue:
         if capacity < 0:
             raise KgcError(f"queue capacity must be >= 0, got {capacity}")
         self.capacity = capacity
-        self._entries: deque[tuple[np.ndarray, str]] = deque(maxlen=capacity)
+        self._ids: list[str] = []
+        self._embs: Optional[np.ndarray] = None  # (len, d), read-only
 
     def push(self, tail_embs: np.ndarray, entity_ids: Sequence[str]) -> "PreBatchQueue":
         if len(entity_ids) != tail_embs.shape[0]:
             raise KgcError("one entity id per embedding row is required")
-        for row, ident in zip(tail_embs, entity_ids):
-            self._entries.append((row.copy(), ident))
+        ids = self._ids + list(entity_ids)
+        start = max(len(ids) - self.capacity, 0)  # ids[-capacity:] would keep every row at 0
+        rows = tail_embs if self._embs is None else np.concatenate([self._embs, tail_embs])
+        self._embs, self._ids = rows[start:].copy(), ids[start:]
+        self._embs.flags.writeable = False
         return self
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._ids)
 
     @property
     def entity_ids(self) -> list[str]:
-        return [ident for _, ident in self._entries]
+        return list(self._ids)
 
     def embeddings(self) -> np.ndarray:
-        if not self._entries:
+        """The queued rows, oldest first, as one read-only array."""
+        if not self._ids:
             raise KgcError("queue is empty")
-        return np.stack([vec for vec, _ in self._entries])
+        return self._embs
 
 
 def score_matrix(hr_embs: np.ndarray, candidates: np.ndarray) -> np.ndarray:
@@ -168,27 +164,26 @@ def assemble_candidates(
     if use_self_negatives:
         scores[:, sn_column] = (batch.hr_embs * batch.self_embs).sum(axis=1)
 
+    # one numbering call, so an undeclared id compares equal to itself only
+    numbers = g.entity_numbers(
+        [row.tail for row in batch.rows] + queue_ids + [row.head for row in batch.rows]
+    )
+    tails, candidates, heads = numbers[:B], numbers[: B + Q], numbers[B + Q :]
+    relations = g.relation_numbers([row.relation for row in batch.rows])
+
     mask = np.ones((B, C), dtype=bool)
-    batch_tails = [row.tail for row in batch.rows]
-    for i, (h, r, t) in enumerate(batch.rows):
-        known = g.known_tails(h, r)
-        for j, tj in enumerate(batch_tails):
-            if j != i and (tj == t or tj in known):
-                mask[i, j] = False
-        for q_idx, qe in enumerate(queue_ids):
-            if qe == t or qe in known:
-                mask[i, B + q_idx] = False
-        if use_self_negatives and (h == t or h in known):
-            mask[i, sn_column] = False
+    mask[:, : B + Q] = ~(
+        (candidates == tails[:, None]) | g.known(heads[:, None], relations[:, None], candidates)
+    )
+    mask[np.arange(B), np.arange(B)] = True
+    if use_self_negatives:
+        mask[:, sn_column] = ~((heads == tails) | g.known(heads, relations, heads))
     return CandidateMatrix(scores, mask, provenance, B, sn_column)
 
 
 def disable_in_batch_negatives(m: CandidateMatrix) -> None:
     """Mask every in-batch column except each row's own positive."""
-    B = m.num_in_batch
-    diag = m.mask[np.arange(B), np.arange(B)].copy()
-    m.mask[:, :B] = False
-    m.mask[np.arange(B), np.arange(B)] = diag
+    m.mask[:, : m.num_in_batch] &= np.eye(m.num_in_batch, dtype=bool)
 
 
 def limit_negatives(m: CandidateMatrix, max_negatives: int, rng: np.random.Generator) -> None:
@@ -202,11 +197,6 @@ def limit_negatives(m: CandidateMatrix, max_negatives: int, rng: np.random.Gener
             keep = rng.choice(negs, size=max_negatives, replace=False)
             row[negs] = False
             row[keep] = True
-
-
-def _positive_scores(m: CandidateMatrix) -> np.ndarray:
-    B = m.num_in_batch
-    return m.scores[np.arange(B), np.arange(B)]
 
 
 def infonce_loss(
@@ -223,8 +213,8 @@ def infonce_loss(
     sits at the floor.
     """
     B, C = m.size
-    tau = temperature(log_inv_tau, cfg.tau_floor)
-    clamped = tau == cfg.tau_floor
+    tau = temperature(log_inv_tau)
+    clamped = tau == TAU_FLOOR
 
     weights = np.ones(C)
     weights[m.provenance == PRE_BATCH] = cfg.pre_batch_weight
@@ -257,7 +247,7 @@ def _hinge_parts(m: CandidateMatrix, hinge_margin: float) -> tuple[np.ndarray, n
     B, C = m.size
     neg_include = m.mask.copy()
     neg_include[np.arange(B), np.arange(B)] = False
-    violation = hinge_margin + m.scores - _positive_scores(m)[:, None]
+    violation = hinge_margin + m.scores - m.scores[np.arange(B), np.arange(B)][:, None]
     active = (violation > 0) & neg_include
     return neg_include, violation, active
 

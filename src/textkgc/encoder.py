@@ -31,6 +31,7 @@ DEFAULT_DIM = 64
 DEFAULT_MAX_TOKENS = 50
 INIT_SCALE = 0.05
 DEFAULT_TEMPERATURE = 0.05
+TAU_FLOOR = 1e-3  # the learnable temperature never goes below this
 CHECKPOINT_MAGIC = "kgc-enc v1"
 
 HR_TABLE = "hr"
@@ -102,13 +103,13 @@ class EncoderParams:
         return EncoderParams(self.hr_table.copy(), self.tail_table.copy(), self.log_inv_tau)
 
 
-def temperature(log_inv_tau: float, floor: float = 1e-3) -> float:
-    """Softmax temperature recovered from its learnable log-inverse, floored away from zero."""
+def temperature(log_inv_tau: float) -> float:
+    """Softmax temperature recovered from its learnable log-inverse, floored at ``TAU_FLOOR``."""
     try:
         tau = math.exp(-log_inv_tau)
     except OverflowError:  # diverged parameter; the loss goes flat, not non-finite
         return math.inf
-    return max(tau, floor)
+    return max(tau, TAU_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -358,6 +359,9 @@ def load_checkpoint(path: str) -> EncoderParams:
                     table[i] = [float(v) for v in values]
                 except ValueError:
                     raise CheckpointError(f"{path}:{lineno}: unparseable float") from None
+            if not np.isfinite(table).all():
+                bad = lineno - buckets + 1 + int(np.argmin(np.isfinite(table).all(axis=1)))
+                raise CheckpointError(f"{path}:{bad}: non-finite value in {name} table")
             tables.append(table)
         line = handle.readline()
         lineno += 1
@@ -368,6 +372,8 @@ def load_checkpoint(path: str) -> EncoderParams:
             log_inv_tau = float(fields[1])
         except ValueError:
             raise CheckpointError(f"{path}:{lineno}: unparseable temperature") from None
+        if not math.isfinite(log_inv_tau):
+            raise CheckpointError(f"{path}:{lineno}: non-finite temperature")
         if handle.readline():
             raise CheckpointError(f"{path}: trailing data after temperature line")
     return EncoderParams(tables[0], tables[1], log_inv_tau)
@@ -408,8 +414,10 @@ class PrecomputedEntityEncoder:
                     raise CheckpointError(
                         f"{path}:{lineno}: dimension {vec.size} differs from first row ({dim})"
                     )
-                if abs(float(np.linalg.norm(vec)) - 1.0) > 1e-6:
-                    raise CheckpointError(f"{path}:{lineno}: vector for {ident!r} is not unit length")
+                if not abs(float(np.linalg.norm(vec)) - 1.0) <= 1e-6:  # also true for nan
+                    raise CheckpointError(f"{path}:{lineno}: vector for {ident!r} is not a finite unit vector")
+                if ident in vectors:
+                    raise CheckpointError(f"{path}:{lineno}: duplicate entity id {ident!r}")
                 vectors[ident] = vec
         if dim is None:
             raise CheckpointError(f"{path}: no vectors found")

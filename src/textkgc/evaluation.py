@@ -9,8 +9,8 @@ adds a constant boost to the head's k-hop train-graph neighborhood.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from dataclasses import dataclass
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -43,17 +43,18 @@ class RerankConfig:
 
 @dataclass
 class EntityEmbeddingIndex:
-    """All entity vectors as rows, in sorted-id order."""
+    """All entity vectors as rows, in sorted-id order (strictly increasing ids)."""
 
     entity_ids: list[str]
     matrix: np.ndarray
     forward_passes: int
-    row_of: dict[str, int] = field(init=False)
+    row_of: Mapping[str, int]  # id -> row: the graph's entity_positions, shared by its indexes
 
     def __post_init__(self) -> None:
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.entity_ids):
-            raise KgcError("index needs one matrix row per entity id")
-        self.row_of = {e: i for i, e in enumerate(self.entity_ids)}
+        if self.matrix.ndim != 2 or not self.matrix.shape[0] == len(self.entity_ids) == len(self.row_of):
+            raise KgcError("index needs one matrix row and one row_of entry per entity id")
+        if any(a >= b for a, b in zip(self.entity_ids, self.entity_ids[1:])):
+            raise KgcError("index entity ids must be strictly increasing")
 
 
 def build_index(
@@ -70,7 +71,7 @@ def build_index(
         chunk = ids[start : start + INDEX_CHUNK]
         texts = [enc.tokenize(augment_description(g, e), params.buckets, max_tokens) for e in chunk]
         matrix[start : start + len(chunk)] = enc.forward_tail(params, enc.TokenIds.pad(texts)).output
-    return EntityEmbeddingIndex(ids, matrix, forward_passes=len(ids))
+    return EntityEmbeddingIndex(ids, matrix, len(ids), g.entity_positions)
 
 
 def index_from_precomputed(
@@ -81,7 +82,7 @@ def index_from_precomputed(
     if not ids:
         raise KgcError("graph has no entities to index")
     rows = [plugin.entity_vector(e) for e in ids]
-    return EntityEmbeddingIndex(ids, np.stack(rows), forward_passes=0)
+    return EntityEmbeddingIndex(ids, np.stack(rows), 0, g.entity_positions)
 
 
 def query_vector(
@@ -126,9 +127,7 @@ def _candidate_scores(
     # (a BLAS matrix-vector product sums some rows in another order)
     scores = np.einsum("ij,j->i", idx.matrix, query_vector(g, params, head, relation, max_tokens))
     if rerank is not None and rerank.alpha != 0.0:
-        hood = k_hop_neighbors(g, head, rerank.hops)
-        if hood:
-            scores = rerank_scores(idx, scores, hood, rerank.alpha)
+        scores = rerank_scores(idx, scores, k_hop_neighbors(g, head, rerank.hops), rerank.alpha)
     return scores
 
 
@@ -275,11 +274,15 @@ def predict_topk(
     g.entity(head)
     g.relation(relation)
     scores = _candidate_scores(g, idx, params, head, relation, rerank, max_tokens)
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], idx.entity_ids[i]))
+    k = min(k, scores.size)
+    # every row scoring at least the k-th largest score, ties included, in
+    # row order; rows are in id order, so a stable sort breaks ties by id
+    shortlist = np.flatnonzero(scores >= np.partition(scores, scores.size - k)[scores.size - k])
+    order = shortlist[np.argsort(-scores[shortlist], kind="stable")[:k]]
     known = g.known_tails(head, relation)
     return [
         (idx.entity_ids[i], float(scores[i]), idx.entity_ids[i] in known)
-        for i in order[: min(k, len(order))]
+        for i in order.tolist()
     ]
 
 

@@ -3,15 +3,18 @@
 A graph is built from three triple files (``head<TAB>relation<TAB>tail``,
 one triple per line) and two description files (``id<TAB>name<TAB>description``,
 the description column may be empty).  All ids referenced by triples must be
-declared in the description files.  Construction builds the train adjacency,
-an undirected neighbor map, and the membership index over train+valid+test
-that filtered evaluation and false-negative masking rely on.
+declared in the description files.  Construction builds an undirected
+neighbor map over the train split and one sorted array of known-triple keys
+over train+valid+test, which filtered evaluation and false-negative masking
+query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .errors import KgcError, ParseError, UnknownIdError
 
@@ -56,9 +59,11 @@ class KnowledgeGraph:
 
     Indexes built at construction:
 
-    * ``adjacency``: per-head list of ``(relation, tail)`` over the train split
     * undirected train neighbors (used for k-hop walks and text augmentation)
-    * ``filter_index``: membership set over all splits, for filtered ranking
+    * the known triples of all splits, as one sorted int64 array of keys
+      ``(h * R + r) * E + t``, where h and t number the entities and r the
+      relations in sorted-id order and E and R count them; ``known``,
+      ``known_tails`` and ``is_known_triple`` answer from it
 
     Relation categories are computed on first use and kept.
     """
@@ -73,60 +78,50 @@ class KnowledgeGraph:
     ):
         self._entities = {e.id: e for e in entities}
         self._relations = {r.id: r for r in relations}
-        self._splits: dict[str, tuple[Triple, ...]] = {}
-        report = dict(load_report) if load_report else {}
-        removed = report.get("duplicates_removed", 0)
-        for split in SPLITS:
-            deduped, dropped = _dedup(splits.get(split, ()))
-            self._splits[split] = deduped
-            removed += dropped
         self.inverse_augmented = inverse_augmented
-
-        unknown = sorted(self._collect_unknown_ids())
+        given = {split: [Triple(*trip) for trip in splits.get(split, ())] for split in SPLITS}
+        every = [trip for split in SPLITS for trip in given[split]]
+        unknown = sorted(
+            (({h for h, _, _ in every} | {t for _, _, t in every}) - self._entities.keys())
+            | ({r for _, r, _ in every} - self._relations.keys())
+        )
         if unknown:
             shown = ", ".join(unknown[:20])
             more = f" (+{len(unknown) - 20} more)" if len(unknown) > 20 else ""
             raise UnknownIdError(f"triples reference undeclared ids: {shown}{more}")
 
-        self._adjacency: dict[str, list[tuple[str, str]]] = {}
+        self._entity_order = sorted(self._entities)
+        self._entity_number = ent = {e: i for i, e in enumerate(self._entity_order)}
+        self._relation_number = rel = {r: i for i, r in enumerate(sorted(self._relations))}
+        E, R = len(ent), len(rel)
+        report = dict(load_report) if load_report else {}
+        removed = report.get("duplicates_removed", 0)
+        self._splits: dict[str, tuple[Triple, ...]] = {}
+        split_keys = []
+        for split in SPLITS:
+            triples = given[split]
+            keys = np.array([(ent[h] * R + rel[r]) * E + ent[t] for h, r, t in triples], dtype=np.int64)
+            first = np.sort(np.unique(keys, return_index=True)[1])  # first occurrences, in input order
+            self._splits[split] = tuple(triples[i] for i in first.tolist())
+            removed += len(triples) - first.size
+            split_keys.append(keys[first])
+        # a split holds each triple once, so a key counted more than once is
+        # a triple that sits in more than one split
+        self._triple_keys, seen_in = np.unique(np.concatenate(split_keys), return_counts=True)
+
         self._neighbors: dict[str, set[str]] = {}
-        for h, r, t in self._splits["train"]:
-            self._adjacency.setdefault(h, []).append((r, t))
+        for h, _, t in self._splits["train"]:
             self._neighbors.setdefault(h, set()).add(t)
             self._neighbors.setdefault(t, set()).add(h)
 
-        self.filter_index: frozenset[Triple] = frozenset(
-            trip for split in SPLITS for trip in self._splits[split]
-        )
-        self._known_tails: dict[tuple[str, str], set[str]] = {}
-        for h, r, t in self.filter_index:
-            self._known_tails.setdefault((h, r), set()).add(t)
-
-        counts = {split: len(self._splits[split]) for split in SPLITS}
-        seen_in: dict[Triple, int] = {}
-        for split in SPLITS:
-            for trip in set(self._splits[split]):
-                seen_in[trip] = seen_in.get(trip, 0) + 1
         report.update(
-            splits=counts,
+            splits={split: len(self._splits[split]) for split in SPLITS},
             duplicates_removed=removed,
-            cross_split_duplicates=sum(1 for n in seen_in.values() if n > 1),
+            cross_split_duplicates=int(np.count_nonzero(seen_in > 1)),
             unknown_ids=0,
         )
         self.load_report = report
         self._categories: dict[str, Optional[str]] = {}
-
-    def _collect_unknown_ids(self) -> set[str]:
-        unknown: set[str] = set()
-        for triples in self._splits.values():
-            for h, r, t in triples:
-                if h not in self._entities:
-                    unknown.add(h)
-                if t not in self._entities:
-                    unknown.add(t)
-                if r not in self._relations:
-                    unknown.add(r)
-        return unknown
 
     # -- accessors ---------------------------------------------------------
 
@@ -139,8 +134,9 @@ class KnowledgeGraph:
         return self._relations
 
     @property
-    def adjacency(self) -> dict[str, list[tuple[str, str]]]:
-        return self._adjacency
+    def entity_positions(self) -> Mapping[str, int]:
+        """Each entity id's position in sorted-id order."""
+        return self._entity_number
 
     def entity(self, entity_id: str) -> Entity:
         try:
@@ -164,9 +160,40 @@ class KnowledgeGraph:
         self.entity(entity_id)
         return frozenset(self._neighbors.get(entity_id, ()))
 
+    def entity_numbers(self, ids: Sequence[str]) -> np.ndarray:
+        """Each entity's position in sorted-id order; each distinct undeclared
+        id gets its own negative number, so the numbers compare as the ids do."""
+        number, undeclared = self._entity_number, {}
+        return np.array(
+            [number[e] if e in number else undeclared.setdefault(e, -1 - len(undeclared)) for e in ids],
+            dtype=np.int64,
+        )
+
+    def relation_numbers(self, ids: Sequence[str]) -> np.ndarray:
+        """Each relation's position in sorted-id order; -1 for an undeclared id."""
+        return np.array([self._relation_number.get(r, -1) for r in ids], dtype=np.int64)
+
+    def known(self, heads: np.ndarray, relations: np.ndarray, tails: np.ndarray) -> np.ndarray:
+        """Whether each (head, relation, tail), given as ``entity_numbers`` and
+        ``relation_numbers`` arrays that broadcast together, is a triple of
+        any split; a negative (undeclared) number is in none."""
+        declared = (heads >= 0) & (relations >= 0) & (tails >= 0)
+        if not self._triple_keys.size:
+            return np.zeros(declared.shape, dtype=bool)
+        keys = (heads * len(self._relation_number) + relations) * len(self._entity_number) + tails
+        at = np.minimum(self._triple_keys.searchsorted(keys), self._triple_keys.size - 1)
+        return (self._triple_keys[at] == keys) & declared
+
     def known_tails(self, head: str, relation: str) -> frozenset[str]:
         """All tails t with (head, relation, t) in any split."""
-        return frozenset(self._known_tails.get((head, relation), ()))
+        h = self._entity_number.get(head)
+        r = self._relation_number.get(relation)
+        if h is None or r is None:
+            return frozenset()
+        keys, E = self._triple_keys, len(self._entity_number)
+        first = (h * len(self._relation_number) + r) * E
+        block = keys[keys.searchsorted(first) : keys.searchsorted(first + E)].tolist()
+        return frozenset([self._entity_order[key - first] for key in block])
 
     def inverse_of(self, relation_id: str) -> str:
         """Id of the relation pointing the opposite way.
@@ -193,20 +220,6 @@ class KnowledgeGraph:
             except KgcError:
                 self._categories[relation_id] = None
         return self._categories[relation_id]
-
-
-def _dedup(triples: Iterable[Triple]) -> tuple[tuple[Triple, ...], int]:
-    seen: set[Triple] = set()
-    out: list[Triple] = []
-    dropped = 0
-    for trip in triples:
-        trip = Triple(*trip)
-        if trip in seen:
-            dropped += 1
-        else:
-            seen.add(trip)
-            out.append(trip)
-    return tuple(out), dropped
 
 
 def _read_lines(path: str) -> Iterator[tuple[int, str]]:
@@ -322,21 +335,13 @@ def k_hop_neighbors(g: KnowledgeGraph, entity_id: str, k: int) -> frozenset[str]
     if k < 1:
         raise KgcError(f"hop count must be >= 1, got {k}")
     g.entity(entity_id)
-    seen = {entity_id}
-    frontier = {entity_id}
-    reached: set[str] = set()
+    seen = frontier = {entity_id}
     for _ in range(k):
-        nxt: set[str] = set()
-        for node in frontier:
-            for neighbor in g._neighbors.get(node, ()):
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    nxt.add(neighbor)
-        reached |= nxt
-        if not nxt:
+        frontier = {n for node in frontier for n in g._neighbors.get(node, ())} - seen
+        if not frontier:
             break
-        frontier = nxt
-    return frozenset(reached)
+        seen = seen | frontier
+    return frozenset(seen - {entity_id})
 
 
 def classify_relation(
@@ -352,18 +357,11 @@ def classify_relation(
     if rel.is_inverse:
         assert rel.forward_id is not None
         rel = g.relation(rel.forward_id)
-    heads: set[str] = set()
-    tails: set[str] = set()
-    count = 0
-    for h, r, t in g.triples("train"):
-        if r == rel.id:
-            heads.add(h)
-            tails.add(t)
-            count += 1
-    if count == 0:
+    pairs = [(h, t) for h, r, t in g.triples("train") if r == rel.id]
+    if not pairs:
         raise KgcError(f"relation {rel.id!r} has no train triples to classify")
-    tails_per_head = count / len(heads)
-    heads_per_tail = count / len(tails)
+    tails_per_head = len(pairs) / len({h for h, _ in pairs})
+    heads_per_tail = len(pairs) / len({t for _, t in pairs})
     head_side = "n" if heads_per_tail >= threshold else "1"
     tail_side = "n" if tails_per_head >= threshold else "1"
     return f"{head_side}-{tail_side}"
@@ -399,4 +397,5 @@ def augment_description(
 
 def is_known_triple(g: KnowledgeGraph, triple: Triple) -> bool:
     """True when the triple appears in any of the three splits."""
-    return Triple(*triple) in g.filter_index
+    h, r, t = triple
+    return t in g.known_tails(h, r)

@@ -311,8 +311,7 @@ def train(
         raise KgcError("batch size leaves no trainable batches")
     total_steps = steps_per_epoch * cfg.epochs
 
-    use_pb = "pb" in cfg.negatives
-    queue = ct.PreBatchQueue(cfg.pre_batches * cfg.batch_size if use_pb else 0)
+    queue = ct.PreBatchQueue(cfg.pre_batches * cfg.batch_size if "pb" in cfg.negatives else 0)
     state = OptimizerState.zeros(params.buckets, params.dim)
     texts_per_row = 3 if "sn" in cfg.negatives else 2
     encoded = 0
@@ -327,7 +326,7 @@ def train(
                 continue
             rows = [triples[i] for i in chunk]
             lr = lr_at(global_step, cfg, total_steps)
-            tau_now = enc.temperature(params.log_inv_tau, cfg.loss.tau_floor)
+            tau_now = enc.temperature(params.log_inv_tau)
             with np.errstate(over="ignore", invalid="ignore"):  # loss checked below
                 loss, buffer, _, batch = run_batch(
                     g, params, rows, tokens[chunk], queue, cfg, dropout_rng, negative_rng
@@ -337,8 +336,7 @@ def train(
                 raise NumericError(f"non-finite loss at step {global_step}")
             clip_gradients(buffer, cfg.grad_clip)
             apply_update(params, state, buffer, lr, cfg)
-            if use_pb:
-                queue.push(batch.tail_embs, [row.tail for row in rows])
+            queue.push(batch.tail_embs, [row.tail for row in rows])  # stays empty without PB
             log_lines.append(
                 f"step={global_step} loss={loss!r} lr={lr!r} tau={tau_now!r} fwd={encoded}"
             )

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from textkgc.contrastive import (
     IN_BATCH,
@@ -21,8 +23,9 @@ from textkgc.contrastive import (
     margin_tau_loss,
     score_matrix,
 )
+from textkgc.encoder import TAU_FLOOR
 from textkgc.errors import KgcError
-from textkgc.graph import Triple
+from textkgc.graph import SPLITS, Triple
 
 from conftest import make_graph, plain_matrix
 
@@ -68,12 +71,27 @@ def test_queue_entries_are_frozen_copies():
 
 def test_queue_edge_cases():
     assert len(PreBatchQueue(0).push(np.ones((2, 2)), ["a", "b"])) == 0
+    empty = PreBatchQueue(0).push(np.ones((2, 2)), ["a", "b"]).push(np.ones((1, 2)), ["c"])
+    assert len(empty) == 0 and empty.entity_ids == []
+    with pytest.raises(KgcError):
+        empty.embeddings()
     with pytest.raises(KgcError):
         PreBatchQueue(4).embeddings()
     with pytest.raises(KgcError):
         PreBatchQueue(-1)
     with pytest.raises(KgcError):
         PreBatchQueue(4).push(np.ones((2, 2)), ["a"])
+
+
+def test_queue_push_larger_than_capacity_keeps_the_newest_rows():
+    q = PreBatchQueue(3).push(np.arange(10.0).reshape(5, 2), list("abcde"))
+    assert q.entity_ids == ["c", "d", "e"]
+    assert np.array_equal(q.embeddings(), np.arange(4.0, 10.0).reshape(3, 2))
+    q.push(np.full((2, 2), -1.0), ["f", "g"])
+    assert q.entity_ids == ["e", "f", "g"]
+    assert q.embeddings().tolist() == [[8.0, 9.0], [-1.0, -1.0], [-1.0, -1.0]]
+    with pytest.raises(ValueError):
+        q.embeddings()[0, 0] = 0.0  # read-only: callers cannot edit the queue
 
 
 # -- candidate assembly ------------------------------------------------------
@@ -159,6 +177,59 @@ def test_negative_count_law_small():
                 queue.push(np.tile(np.eye(4)[0], (B, 1)), ids)
             m = assemble_candidates(g, batch, queue, use_self_negatives=True)
             assert m.negatives_per_row().tolist() == [(P + 1) * B] * B
+
+
+def _reference_mask(g, rows, queue_ids, use_self_negatives):
+    """The per-cell masking loop, over a set of every split's triples."""
+    known = {trip for split in SPLITS for trip in g.triples(split)}
+    B, Q = len(rows), len(queue_ids)
+    mask = np.ones((B, B + Q + (1 if use_self_negatives else 0)), dtype=bool)
+    for i, (h, r, t) in enumerate(rows):
+        for j, e in enumerate([row.tail for row in rows] + list(queue_ids)):
+            if j != i and (e == t or (h, r, e) in known):
+                mask[i, j] = False
+        if use_self_negatives and (h == t or (h, r, h) in known):
+            mask[i, -1] = False
+    return mask
+
+
+ENTITY_POOL = ["a", "b", "c", "d", "e"]
+UNDECLARED = ["z0", "z1"]
+_triples = st.tuples(
+    st.sampled_from(ENTITY_POOL), st.sampled_from(["r", "s"]), st.sampled_from(ENTITY_POOL)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    train=st.lists(_triples, min_size=1, max_size=12),
+    valid=st.lists(_triples, max_size=4),
+    test=st.lists(_triples, max_size=4),
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from(ENTITY_POOL + UNDECLARED),
+            st.sampled_from(["r", "s", "undeclared"]),
+            st.sampled_from(ENTITY_POOL + UNDECLARED),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    pushes=st.lists(st.lists(st.sampled_from(ENTITY_POOL + UNDECLARED), max_size=5), max_size=3),
+    capacity=st.integers(0, 8),
+    use_self_negatives=st.booleans(),
+)
+def test_assemble_mask_matches_per_cell_reference(
+    train, valid, test, rows, pushes, capacity, use_self_negatives
+):
+    # known triples in every split, repeated and reflexive tails, and queue
+    # entries the graph does not declare
+    g = make_graph(train=train, valid=valid, test=test)
+    batch = _batch_for(g, rows)
+    queue = PreBatchQueue(capacity)
+    for ids in pushes:
+        queue.push(np.tile(np.eye(4)[0], (len(ids), 1)), ids)
+    m = assemble_candidates(g, batch, queue, use_self_negatives)
+    assert np.array_equal(m.mask, _reference_mask(g, batch.rows, queue.entity_ids, use_self_negatives))
 
 
 def test_disable_in_batch_negatives_keeps_diagonal():
@@ -306,12 +377,13 @@ def test_infonce_fully_masked_row_contributes_zero():
 
 
 def test_infonce_temperature_floor_freezes_tau_gradient():
-    cfg = LossConfig(tau_floor=1e-3)
+    assert TAU_FLOOR == 1e-3
+    cfg = LossConfig()
     m = plain_matrix([[0.9, 0.2]])
     log_inv_tau = -math.log(1e-4)  # raw tau below the floor
     loss, _, gtau = infonce_loss(m, cfg, log_inv_tau)
     assert gtau == 0.0
-    at_floor, _, _ = infonce_loss(m, cfg, -math.log(1e-3))
+    at_floor, _, _ = infonce_loss(m, cfg, -math.log(TAU_FLOOR))
     assert loss == pytest.approx(at_floor, rel=1e-12)
 
 
@@ -497,5 +569,3 @@ def test_loss_config_validation():
         LossConfig(pre_batch_weight=0.0)
     with pytest.raises(KgcError):
         LossConfig(pre_batch_weight=1.5)
-    with pytest.raises(KgcError):
-        LossConfig(tau_floor=0.0)

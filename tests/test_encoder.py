@@ -469,6 +469,21 @@ def test_checkpoint_body_errors_carry_line_numbers(tmp_path):
         load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_checkpoint_rejects_non_finite_values(tmp_path, value):
+    p = tiny_params(buckets=3, dim=2, seed=1)
+    path = tmp_path / "ck.tsv"
+    save_checkpoint(p, str(path))
+    lines = path.read_text().splitlines()
+    # line 3 is hr row 1, line 6 is tail row 1, line 8 the temperature
+    for lineno, replacement in ((3, f"0.5 {value}"), (6, f"{value} 0.5"), (8, f"log_inv_tau {value}")):
+        bad = list(lines)
+        bad[lineno - 1] = replacement
+        path.write_text("\n".join(bad) + "\n")
+        with pytest.raises(CheckpointError, match=f"ck.tsv:{lineno}: non-finite"):
+            load_checkpoint(str(path))
+
+
 # -- precomputed plugin ------------------------------------------------------
 
 
@@ -496,4 +511,10 @@ def test_precomputed_rejects_bad_rows(tmp_path):
         PrecomputedEntityEncoder.load(str(path))
     path.write_text("a only spaces no tab\n")
     with pytest.raises(CheckpointError):
+        PrecomputedEntityEncoder.load(str(path))
+    path.write_text("a\t1.0 0.0\nb\tnan nan\n")  # nan passes a tolerance test on the norm
+    with pytest.raises(CheckpointError, match="emb.tsv:2: vector for 'b' is not a finite unit"):
+        PrecomputedEntityEncoder.load(str(path))
+    path.write_text("a\t1.0 0.0\nb\t0.0 1.0\na\t0.0 -1.0\n")
+    with pytest.raises(CheckpointError, match="emb.tsv:3: duplicate entity id 'a'"):
         PrecomputedEntityEncoder.load(str(path))

@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from textkgc import evaluation as ev
 from textkgc import graph as kg
 from textkgc.encoder import (
+    DEFAULT_MAX_TOKENS,
     PrecomputedEntityEncoder,
     TokenIds,
     forward_tail,
@@ -38,7 +41,9 @@ REPORT_KEYS = {
 
 
 def crafted_index(ids, matrix):
-    return EntityEmbeddingIndex(list(ids), np.asarray(matrix, dtype=float), forward_passes=0)
+    ids = list(ids)
+    row_of = {e: i for i, e in enumerate(ids)}
+    return EntityEmbeddingIndex(ids, np.asarray(matrix, dtype=float), 0, row_of)
 
 
 def rows_with_scores(query, forward_scores, inverse_query=None, inverse_scores=None):
@@ -61,6 +66,17 @@ def rows_with_scores(query, forward_scores, inverse_query=None, inverse_scores=N
 
 
 # -- index construction ------------------------------------------------------
+
+
+def test_index_rejects_ids_out_of_order():
+    # top-k breaks score ties by row order, which is id order only when the
+    # ids increase strictly
+    with pytest.raises(KgcError, match="strictly increasing"):
+        crafted_index(["b", "a"], np.eye(2))
+    with pytest.raises(KgcError, match="strictly increasing"):
+        EntityEmbeddingIndex(["a", "a"], np.eye(2), 0, {"a": 0, "b": 1})
+    with pytest.raises(KgcError, match="one row_of entry"):
+        EntityEmbeddingIndex(["a", "b"], np.eye(2), 0, {"a": 0})
 
 
 def test_build_index_one_row_per_entity(encoded_rows):
@@ -453,6 +469,30 @@ def test_identical_rows_tie_exactly_in_rank_and_topk():
     assert [e for e, _ in tied] == twins  # ordered by id
     assert len({s for _, s in tied}) == 1  # bitwise-equal scores
     assert all(scores[r] == scores[twin_rows[0]] for r in twin_rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    levels=st.lists(st.integers(0, 3), min_size=2, max_size=12),
+    k=st.integers(1, 14),
+    rerank=st.booleans(),
+)
+@example(levels=[2, 1, 1, 1, 0], k=2, rerank=False)  # three ties straddle the k-th score
+@example(levels=[1, 1, 0, 1, 0, 1], k=6, rerank=False)  # k = |E|
+def test_predict_topk_matches_sorted_reference(levels, k, rerank):
+    ids = [f"e{i:02d}" for i in range(len(levels))]
+    g = make_graph(train=[(ids[i], "r", ids[i + 1]) for i in range(len(ids) - 1)], augment=True)
+    params = tiny_params()
+    q = query_vector(g, params, ids[0], "r")
+    # equal levels give bitwise-equal rows, so their scores tie exactly
+    idx = crafted_index(ids, rows_with_scores(q, [0.1 * level for level in levels]))
+    cfg = RerankConfig(0.05, 2) if rerank else None
+
+    scores = ev._candidate_scores(g, idx, params, ids[0], "r", cfg, DEFAULT_MAX_TOKENS)
+    order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))[:k]
+    known = g.known_tails(ids[0], "r")
+    want = [(ids[i], float(scores[i]), ids[i] in known) for i in order]
+    assert predict_topk(g, idx, params, ids[0], "r", k, cfg) == want
 
 
 def test_predict_topk_clamps_k_and_validates():

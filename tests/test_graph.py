@@ -354,9 +354,28 @@ def test_known_tails_accumulates_across_splits():
     assert g.known_tails("b", "r") == frozenset()
 
 
+def test_known_answers_whole_arrays():
+    g = make_graph(train=[("a", "r", "b")], valid=[("a", "r", "c")], test=[("c", "s", "a")])
+    assert g.entity_numbers(["b", "zz", "a", "zz", "yy"]).tolist() == [1, -1, 0, -1, -2]
+    assert g.relation_numbers(["s", "nope", "r"]).tolist() == [1, -1, 0]
+    heads = g.entity_numbers(["a", "c", "zz"])
+    relations = g.relation_numbers(["r", "s", "r"])
+    candidates = g.entity_numbers(["a", "b", "c", "zz"])
+    assert g.known(heads[:, None], relations[:, None], candidates).tolist() == [
+        [False, True, True, False],
+        [True, False, False, False],
+        [False, False, False, False],  # an undeclared head is in no known triple
+    ]
+    assert g.known(heads, relations, heads).tolist() == [False, False, False]
+    assert g.known_tails("zz", "r") == frozenset()
+    assert g.known_tails("a", "nope") == frozenset()
+    empty = KnowledgeGraph([Entity("a", "A")], [Relation("r", "r")], {})
+    assert empty.known(0, 0, np.array([0, -1])).tolist() == [False, False]
+    assert empty.known_tails("a", "r") == frozenset()
+
+
 def test_adjacency_covers_train_only():
     g = make_graph(train=[("a", "r", "b")], test=[("a", "q", "c")])
-    assert g.adjacency == {"a": [("r", "b")]}
     assert g.neighbors("a") == {"b"}
     assert g.neighbors("c") == frozenset()
 
