@@ -62,6 +62,10 @@ class TrainingBatch:
     tail_embs: np.ndarray  # (B, d) positive tail vectors
     self_embs: Optional[np.ndarray] = None  # (B, d) heads encoded as candidates
 
+    @property
+    def size(self) -> int:
+        return len(self.rows)
+
 
 class PreBatchQueue:
     """FIFO store of frozen tail embeddings from the most recent batches.
@@ -183,7 +187,10 @@ def assemble_candidates(
 
 def disable_in_batch_negatives(m: CandidateMatrix) -> None:
     """Mask every in-batch column except each row's own positive."""
-    m.mask[:, : m.num_in_batch] &= np.eye(m.num_in_batch, dtype=bool)
+    B = m.num_in_batch
+    diag = m.mask[np.arange(B), np.arange(B)].copy()
+    m.mask[:, :B] = False
+    m.mask[np.arange(B), np.arange(B)] = diag
 
 
 def limit_negatives(m: CandidateMatrix, max_negatives: int, rng: np.random.Generator) -> None:
@@ -197,6 +204,11 @@ def limit_negatives(m: CandidateMatrix, max_negatives: int, rng: np.random.Gener
             keep = rng.choice(negs, size=max_negatives, replace=False)
             row[negs] = False
             row[keep] = True
+
+
+def _positive_scores(m: CandidateMatrix) -> np.ndarray:
+    B = m.num_in_batch
+    return m.scores[np.arange(B), np.arange(B)]
 
 
 def infonce_loss(
@@ -247,7 +259,7 @@ def _hinge_parts(m: CandidateMatrix, hinge_margin: float) -> tuple[np.ndarray, n
     B, C = m.size
     neg_include = m.mask.copy()
     neg_include[np.arange(B), np.arange(B)] = False
-    violation = hinge_margin + m.scores - m.scores[np.arange(B), np.arange(B)][:, None]
+    violation = hinge_margin + m.scores - _positive_scores(m)[:, None]
     active = (violation > 0) & neg_include
     return neg_include, violation, active
 

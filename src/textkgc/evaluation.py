@@ -9,8 +9,9 @@ adds a constant boost to the head's k-hop train-graph neighborhood.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -43,18 +44,25 @@ class RerankConfig:
 
 @dataclass
 class EntityEmbeddingIndex:
-    """All entity vectors as rows, in sorted-id order (strictly increasing ids)."""
+    """All entity vectors as rows, in strictly increasing id order; built from
+    a graph, row i is the graph's entity number i (``entity_numbers``)."""
 
     entity_ids: list[str]
     matrix: np.ndarray
     forward_passes: int
-    row_of: Mapping[str, int]  # id -> row: the graph's entity_positions, shared by its indexes
 
     def __post_init__(self) -> None:
-        if self.matrix.ndim != 2 or not self.matrix.shape[0] == len(self.entity_ids) == len(self.row_of):
-            raise KgcError("index needs one matrix row and one row_of entry per entity id")
+        if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.entity_ids):
+            raise KgcError("index needs one matrix row per entity id")
         if any(a >= b for a, b in zip(self.entity_ids, self.entity_ids[1:])):
             raise KgcError("index entity ids must be strictly increasing")
+
+    def row(self, entity_id: str) -> int:
+        """The row of an entity id, found by binary search over the sorted ids."""
+        row = bisect_left(self.entity_ids, entity_id)
+        if row == len(self.entity_ids) or self.entity_ids[row] != entity_id:
+            raise UnknownIdError(f"unknown entity id: {entity_id!r}")
+        return row
 
 
 def build_index(
@@ -71,7 +79,7 @@ def build_index(
         chunk = ids[start : start + INDEX_CHUNK]
         texts = [enc.tokenize(augment_description(g, e), params.buckets, max_tokens) for e in chunk]
         matrix[start : start + len(chunk)] = enc.forward_tail(params, enc.TokenIds.pad(texts)).output
-    return EntityEmbeddingIndex(ids, matrix, len(ids), g.entity_positions)
+    return EntityEmbeddingIndex(ids, matrix, forward_passes=len(ids))
 
 
 def index_from_precomputed(
@@ -82,7 +90,7 @@ def index_from_precomputed(
     if not ids:
         raise KgcError("graph has no entities to index")
     rows = [plugin.entity_vector(e) for e in ids]
-    return EntityEmbeddingIndex(ids, np.stack(rows), 0, g.entity_positions)
+    return EntityEmbeddingIndex(ids, np.stack(rows), forward_passes=0)
 
 
 def query_vector(
@@ -107,10 +115,7 @@ def rerank_scores(
     """Return a copy of ``scores`` with ``alpha`` added at each neighbor's row."""
     out = scores.copy()
     for entity_id in neighbors:
-        row = idx.row_of.get(entity_id)
-        if row is None:
-            raise UnknownIdError(f"unknown entity in neighborhood: {entity_id!r}")
-        out[row] += alpha
+        out[idx.row(entity_id)] += alpha
     return out
 
 
@@ -123,11 +128,15 @@ def _candidate_scores(
     rerank: Optional[RerankConfig],
     max_tokens: int,
 ) -> np.ndarray:
+    if len(idx.entity_ids) != len(g.entities):
+        raise KgcError("the index must hold every entity of the graph")
     # one dot per row, each summed the same way, so identical rows tie exactly
     # (a BLAS matrix-vector product sums some rows in another order)
     scores = np.einsum("ij,j->i", idx.matrix, query_vector(g, params, head, relation, max_tokens))
     if rerank is not None and rerank.alpha != 0.0:
-        scores = rerank_scores(idx, scores, k_hop_neighbors(g, head, rerank.hops), rerank.alpha)
+        hood = k_hop_neighbors(g, head, rerank.hops)
+        if hood:
+            scores = rerank_scores(idx, scores, hood, rerank.alpha)
     return scores
 
 
@@ -145,15 +154,12 @@ def rank_one(
     rank = 1 + #{kept strictly above target} + #{kept tied with target}/2.
     """
     h, r, t = triple
-    target_row = idx.row_of.get(t)
-    if target_row is None:
-        raise UnknownIdError(f"unknown entity id: {t!r}")
+    target_row = idx.row(t)
     scores = _candidate_scores(g, idx, params, h, r, rerank, max_tokens)
     target_score = scores[target_row]
     drop = np.zeros(len(scores), dtype=bool)
-    for e in g.known_tails(h, r):
-        if e != t:
-            drop[idx.row_of[e]] = True
+    drop[g.known_tail_numbers(h, r)] = True  # index rows are entity numbers
+    drop[target_row] = False
     kept = scores[~drop]
     greater = int(np.count_nonzero(kept > target_score))
     equal = int(np.count_nonzero(kept == target_score))  # includes the target
@@ -279,11 +285,8 @@ def predict_topk(
     # row order; rows are in id order, so a stable sort breaks ties by id
     shortlist = np.flatnonzero(scores >= np.partition(scores, scores.size - k)[scores.size - k])
     order = shortlist[np.argsort(-scores[shortlist], kind="stable")[:k]]
-    known = g.known_tails(head, relation)
-    return [
-        (idx.entity_ids[i], float(scores[i]), idx.entity_ids[i] in known)
-        for i in order.tolist()
-    ]
+    known = set(g.known_tail_numbers(head, relation).tolist())  # index rows are entity numbers
+    return [(idx.entity_ids[i], float(scores[i]), i in known) for i in order.tolist()]
 
 
 def write_embeddings(idx: EntityEmbeddingIndex, path: str) -> None:

@@ -12,7 +12,7 @@ query.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -63,7 +63,8 @@ class KnowledgeGraph:
     * the known triples of all splits, as one sorted int64 array of keys
       ``(h * R + r) * E + t``, where h and t number the entities and r the
       relations in sorted-id order and E and R count them; ``known``,
-      ``known_tails`` and ``is_known_triple`` answer from it
+      ``known_tail_numbers``, ``known_tails`` and ``is_known_triple``
+      answer from it
 
     Relation categories are computed on first use and kept.
     """
@@ -133,11 +134,6 @@ class KnowledgeGraph:
     def relations(self) -> dict[str, Relation]:
         return self._relations
 
-    @property
-    def entity_positions(self) -> Mapping[str, int]:
-        """Each entity id's position in sorted-id order."""
-        return self._entity_number
-
     def entity(self, entity_id: str) -> Entity:
         try:
             return self._entities[entity_id]
@@ -184,16 +180,20 @@ class KnowledgeGraph:
         at = np.minimum(self._triple_keys.searchsorted(keys), self._triple_keys.size - 1)
         return (self._triple_keys[at] == keys) & declared
 
-    def known_tails(self, head: str, relation: str) -> frozenset[str]:
-        """All tails t with (head, relation, t) in any split."""
+    def known_tail_numbers(self, head: str, relation: str) -> np.ndarray:
+        """The ``entity_numbers`` of all tails t with (head, relation, t) in
+        any split, increasing."""
         h = self._entity_number.get(head)
         r = self._relation_number.get(relation)
         if h is None or r is None:
-            return frozenset()
+            return np.zeros(0, dtype=np.int64)
         keys, E = self._triple_keys, len(self._entity_number)
         first = (h * len(self._relation_number) + r) * E
-        block = keys[keys.searchsorted(first) : keys.searchsorted(first + E)].tolist()
-        return frozenset([self._entity_order[key - first] for key in block])
+        return keys[keys.searchsorted(first) : keys.searchsorted(first + E)] - first
+
+    def known_tails(self, head: str, relation: str) -> frozenset[str]:
+        """All tails t with (head, relation, t) in any split."""
+        return frozenset([self._entity_order[t] for t in self.known_tail_numbers(head, relation).tolist()])
 
     def inverse_of(self, relation_id: str) -> str:
         """Id of the relation pointing the opposite way.
@@ -335,13 +335,21 @@ def k_hop_neighbors(g: KnowledgeGraph, entity_id: str, k: int) -> frozenset[str]
     if k < 1:
         raise KgcError(f"hop count must be >= 1, got {k}")
     g.entity(entity_id)
-    seen = frontier = {entity_id}
+    seen = {entity_id}
+    frontier = {entity_id}
+    reached: set[str] = set()
     for _ in range(k):
-        frontier = {n for node in frontier for n in g._neighbors.get(node, ())} - seen
-        if not frontier:
+        nxt: set[str] = set()
+        for node in frontier:
+            for neighbor in g._neighbors.get(node, ()):
+                if neighbor not in seen:
+                    seen.add(neighbor)
+                    nxt.add(neighbor)
+        reached |= nxt
+        if not nxt:
             break
-        seen = seen | frontier
-    return frozenset(seen - {entity_id})
+        frontier = nxt
+    return frozenset(reached)
 
 
 def classify_relation(
@@ -357,11 +365,18 @@ def classify_relation(
     if rel.is_inverse:
         assert rel.forward_id is not None
         rel = g.relation(rel.forward_id)
-    pairs = [(h, t) for h, r, t in g.triples("train") if r == rel.id]
-    if not pairs:
+    heads: set[str] = set()
+    tails: set[str] = set()
+    count = 0
+    for h, r, t in g.triples("train"):
+        if r == rel.id:
+            heads.add(h)
+            tails.add(t)
+            count += 1
+    if count == 0:
         raise KgcError(f"relation {rel.id!r} has no train triples to classify")
-    tails_per_head = len(pairs) / len({h for h, _ in pairs})
-    heads_per_tail = len(pairs) / len({t for _, t in pairs})
+    tails_per_head = count / len(heads)
+    heads_per_tail = count / len(tails)
     head_side = "n" if heads_per_tail >= threshold else "1"
     tail_side = "n" if tails_per_head >= threshold else "1"
     return f"{head_side}-{tail_side}"
@@ -398,4 +413,5 @@ def augment_description(
 def is_known_triple(g: KnowledgeGraph, triple: Triple) -> bool:
     """True when the triple appears in any of the three splits."""
     h, r, t = triple
-    return t in g.known_tails(h, r)
+    head, tail = g.entity_numbers([h, t])
+    return bool(g.known(head, g.relation_numbers([r])[0], tail))

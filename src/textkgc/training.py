@@ -311,7 +311,8 @@ def train(
         raise KgcError("batch size leaves no trainable batches")
     total_steps = steps_per_epoch * cfg.epochs
 
-    queue = ct.PreBatchQueue(cfg.pre_batches * cfg.batch_size if "pb" in cfg.negatives else 0)
+    use_pb = "pb" in cfg.negatives
+    queue = ct.PreBatchQueue(cfg.pre_batches * cfg.batch_size if use_pb else 0)
     state = OptimizerState.zeros(params.buckets, params.dim)
     texts_per_row = 3 if "sn" in cfg.negatives else 2
     encoded = 0
@@ -336,7 +337,8 @@ def train(
                 raise NumericError(f"non-finite loss at step {global_step}")
             clip_gradients(buffer, cfg.grad_clip)
             apply_update(params, state, buffer, lr, cfg)
-            queue.push(batch.tail_embs, [row.tail for row in rows])  # stays empty without PB
+            if use_pb:
+                queue.push(batch.tail_embs, [row.tail for row in rows])
             log_lines.append(
                 f"step={global_step} loss={loss!r} lr={lr!r} tau={tau_now!r} fwd={encoded}"
             )

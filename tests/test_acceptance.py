@@ -384,8 +384,8 @@ def test_criterion_03_rank_oracle():
             drop = np.zeros(len(idx.entity_ids), dtype=bool)
             for e in g.known_tails(triple.head, triple.relation):
                 if e != triple.tail:
-                    drop[idx.row_of[e]] = True
-            want = _oracle_rank(scores, drop, idx.row_of[triple.tail])
+                    drop[idx.row(e)] = True
+            want = _oracle_rank(scores, drop, idx.row(triple.tail))
             assert got == want, (triple, got, want)
             checked += 1
     elapsed = time.monotonic() - started
@@ -462,7 +462,7 @@ def test_criterion_07_rerank_exactness():
         hood = k_hop_neighbors(g, head, 2)
         boosted = rerank_scores(idx, base, hood, 0.05)
         changed = np.nonzero(boosted != base)[0]
-        hood_rows = sorted(idx.row_of[e] for e in hood)
+        hood_rows = sorted(idx.row(e) for e in hood)
         bump_ok &= changed.tolist() == hood_rows
         bump_ok &= bool(np.all(np.abs((boosted - base)[changed] - 0.05) <= 1e-12))
         hood_sizes.append(len(hood))

@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from textkgc.contrastive import (
     IN_BATCH,
@@ -25,7 +23,7 @@ from textkgc.contrastive import (
 )
 from textkgc.encoder import TAU_FLOOR
 from textkgc.errors import KgcError
-from textkgc.graph import SPLITS, Triple
+from textkgc.graph import Triple
 
 from conftest import make_graph, plain_matrix
 
@@ -177,59 +175,6 @@ def test_negative_count_law_small():
                 queue.push(np.tile(np.eye(4)[0], (B, 1)), ids)
             m = assemble_candidates(g, batch, queue, use_self_negatives=True)
             assert m.negatives_per_row().tolist() == [(P + 1) * B] * B
-
-
-def _reference_mask(g, rows, queue_ids, use_self_negatives):
-    """The per-cell masking loop, over a set of every split's triples."""
-    known = {trip for split in SPLITS for trip in g.triples(split)}
-    B, Q = len(rows), len(queue_ids)
-    mask = np.ones((B, B + Q + (1 if use_self_negatives else 0)), dtype=bool)
-    for i, (h, r, t) in enumerate(rows):
-        for j, e in enumerate([row.tail for row in rows] + list(queue_ids)):
-            if j != i and (e == t or (h, r, e) in known):
-                mask[i, j] = False
-        if use_self_negatives and (h == t or (h, r, h) in known):
-            mask[i, -1] = False
-    return mask
-
-
-ENTITY_POOL = ["a", "b", "c", "d", "e"]
-UNDECLARED = ["z0", "z1"]
-_triples = st.tuples(
-    st.sampled_from(ENTITY_POOL), st.sampled_from(["r", "s"]), st.sampled_from(ENTITY_POOL)
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    train=st.lists(_triples, min_size=1, max_size=12),
-    valid=st.lists(_triples, max_size=4),
-    test=st.lists(_triples, max_size=4),
-    rows=st.lists(
-        st.tuples(
-            st.sampled_from(ENTITY_POOL + UNDECLARED),
-            st.sampled_from(["r", "s", "undeclared"]),
-            st.sampled_from(ENTITY_POOL + UNDECLARED),
-        ),
-        min_size=1,
-        max_size=6,
-    ),
-    pushes=st.lists(st.lists(st.sampled_from(ENTITY_POOL + UNDECLARED), max_size=5), max_size=3),
-    capacity=st.integers(0, 8),
-    use_self_negatives=st.booleans(),
-)
-def test_assemble_mask_matches_per_cell_reference(
-    train, valid, test, rows, pushes, capacity, use_self_negatives
-):
-    # known triples in every split, repeated and reflexive tails, and queue
-    # entries the graph does not declare
-    g = make_graph(train=train, valid=valid, test=test)
-    batch = _batch_for(g, rows)
-    queue = PreBatchQueue(capacity)
-    for ids in pushes:
-        queue.push(np.tile(np.eye(4)[0], (len(ids), 1)), ids)
-    m = assemble_candidates(g, batch, queue, use_self_negatives)
-    assert np.array_equal(m.mask, _reference_mask(g, batch.rows, queue.entity_ids, use_self_negatives))
 
 
 def test_disable_in_batch_negatives_keeps_diagonal():

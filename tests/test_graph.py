@@ -367,8 +367,13 @@ def test_known_answers_whole_arrays():
         [False, False, False, False],  # an undeclared head is in no known triple
     ]
     assert g.known(heads, relations, heads).tolist() == [False, False, False]
+    assert g.known_tail_numbers("a", "r").tolist() == [1, 2]
+    assert g.known_tail_numbers("c", "s").tolist() == [0]
+    assert g.known_tail_numbers("zz", "r").tolist() == []
     assert g.known_tails("zz", "r") == frozenset()
     assert g.known_tails("a", "nope") == frozenset()
+    assert is_known_triple(g, ("c", "s", "a")) and not is_known_triple(g, ("a", "s", "c"))
+    assert not is_known_triple(g, ("zz", "r", "zz"))
     empty = KnowledgeGraph([Entity("a", "A")], [Relation("r", "r")], {})
     assert empty.known(0, 0, np.array([0, -1])).tolist() == [False, False]
     assert empty.known_tails("a", "r") == frozenset()
