@@ -19,7 +19,7 @@ from . import contrastive as ct
 from . import encoder as enc
 from . import evaluation as ev
 from . import training as tr
-from .errors import KgcError, NumericError, ParseError
+from .errors import KgcError, NumericError, ParseError, undecodable_line
 from .graph import KnowledgeGraph, add_inverse_triples, load_graph
 from .randomness import named_stream
 
@@ -176,14 +176,17 @@ def build_parser() -> _Parser:
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, val = line.partition("=")
-            if not sep or not key.strip():
-                raise ParseError(path, lineno, "expected 'key = value'")
-            values[key.strip().lower().replace("-", "_")] = val.strip()
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                key, sep, val = line.partition("=")
+                if not sep or not key.strip():
+                    raise ParseError(path, lineno, "expected 'key = value'")
+                values[key.strip().lower().replace("-", "_")] = val.strip()
+        except UnicodeDecodeError:
+            raise ParseError(path, undecodable_line(path), "not valid UTF-8") from None
     return values
 
 

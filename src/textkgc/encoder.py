@@ -17,13 +17,14 @@ are checked against central finite differences in the test suite.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import CheckpointError, KgcError, NumericError, UnknownIdError
+from .errors import CheckpointError, KgcError, NumericError, UnknownIdError, undecodable_line
 from .randomness import fnv1a_64
 
 DEFAULT_BUCKETS = 30_000
@@ -60,6 +61,21 @@ def tokenize(text: str, buckets: int, max_tokens: int = DEFAULT_MAX_TOKENS) -> l
     ]
 
 
+def tokenize_texts(
+    texts: Iterable[str], buckets: int, max_tokens: int = DEFAULT_MAX_TOKENS
+) -> list[list[int]]:
+    """``tokenize`` of each text in order; each distinct text is hashed once,
+    and its repeats share that one list."""
+    seen: dict[str, list[int]] = {}
+    out = []
+    for text in texts:
+        tokens = seen.get(text)
+        if tokens is None:
+            tokens = seen[text] = tokenize(text, buckets, max_tokens)
+        out.append(tokens)
+    return out
+
+
 @dataclass
 class EncoderParams:
     """All trainable state: two embedding tables plus the log inverse temperature."""
@@ -80,6 +96,9 @@ class EncoderParams:
             raise KgcError(f"bucket count must be >= 2, got {buckets}")
         if dim < 1:
             raise KgcError(f"dimension must be >= 1, got {dim}")
+        # 1/t also overflows for a subnormal t, which would make log_inv_tau infinite
+        if not (0.0 < initial_temperature < math.inf and 1.0 / initial_temperature < math.inf):
+            raise KgcError(f"temperature must be a finite number > 0, got {initial_temperature}")
         hr = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(buckets, dim))
         tail = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(buckets, dim))
         return cls(hr, tail, math.log(1.0 / initial_temperature))
@@ -330,17 +349,27 @@ def save_checkpoint(params: EncoderParams, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> EncoderParams:
+    try:
+        return _read_checkpoint(path)
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{path}:{undecodable_line(path)}: not valid UTF-8") from None
+
+
+def _read_checkpoint(path: str) -> EncoderParams:
     with open(path, "r", encoding="utf-8") as handle:
         header = handle.readline().rstrip("\n")
         parts = header.split(" ")
         if len(parts) != 4 or " ".join(parts[:2]) != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"bad checkpoint header: {header!r}")
+            raise CheckpointError(f"{path}:1: bad checkpoint header: {header!r}")
         try:
             buckets, dim = int(parts[2]), int(parts[3])
         except ValueError:
-            raise CheckpointError(f"bad checkpoint header: {header!r}") from None
-        if buckets < 2 or dim < 1:
-            raise CheckpointError(f"bad checkpoint header: {header!r}")
+            raise CheckpointError(f"{path}:1: bad checkpoint header: {header!r}") from None
+        # the 2 * buckets * dim values take at least two bytes each, so this
+        # claim cannot fit; checked before the tables are allocated, and loose
+        # enough that a cut-off file still names the line where it ends
+        if buckets < 2 or dim < 1 or buckets * dim > os.path.getsize(path):
+            raise CheckpointError(f"{path}:1: bad checkpoint header: {header!r}")
         tables = []
         lineno = 1
         for name in (HR_TABLE, TAIL_TABLE):
@@ -375,7 +404,7 @@ def load_checkpoint(path: str) -> EncoderParams:
         if not math.isfinite(log_inv_tau):
             raise CheckpointError(f"{path}:{lineno}: non-finite temperature")
         if handle.readline():
-            raise CheckpointError(f"{path}: trailing data after temperature line")
+            raise CheckpointError(f"{path}:{lineno + 1}: trailing data after temperature line")
     return EncoderParams(tables[0], tables[1], log_inv_tau)
 
 
@@ -396,31 +425,36 @@ class PrecomputedEntityEncoder:
         vectors: dict[str, np.ndarray] = {}
         dim: Optional[int] = None
         with open(path, "r", encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise CheckpointError(f"{path}:{lineno}: expected 'id<TAB>values'")
-                ident, values = parts
-                try:
-                    vec = np.array([float(v) for v in values.split()])
-                except ValueError:
-                    raise CheckpointError(f"{path}:{lineno}: unparseable float") from None
-                if dim is None:
-                    dim = vec.size
-                elif vec.size != dim:
-                    raise CheckpointError(
-                        f"{path}:{lineno}: dimension {vec.size} differs from first row ({dim})"
-                    )
-                if not abs(float(np.linalg.norm(vec)) - 1.0) <= 1e-6:  # also true for nan
-                    raise CheckpointError(f"{path}:{lineno}: vector for {ident!r} is not a finite unit vector")
-                if ident in vectors:
-                    raise CheckpointError(f"{path}:{lineno}: duplicate entity id {ident!r}")
-                vectors[ident] = vec
+            try:
+                for lineno, raw in enumerate(handle, start=1):
+                    line = raw.rstrip("\n")
+                    if not line:
+                        continue
+                    parts = line.split("\t")
+                    if len(parts) != 2:
+                        raise CheckpointError(f"{path}:{lineno}: expected 'id<TAB>values'")
+                    ident, values = parts
+                    try:
+                        vec = np.array([float(v) for v in values.split()])
+                    except ValueError:
+                        raise CheckpointError(f"{path}:{lineno}: unparseable float") from None
+                    if dim is None:
+                        dim = vec.size
+                    elif vec.size != dim:
+                        raise CheckpointError(
+                            f"{path}:{lineno}: dimension {vec.size} differs from first row ({dim})"
+                        )
+                    if not abs(float(np.linalg.norm(vec)) - 1.0) <= 1e-6:  # also true for nan
+                        raise CheckpointError(
+                            f"{path}:{lineno}: vector for {ident!r} is not a finite unit vector"
+                        )
+                    if ident in vectors:
+                        raise CheckpointError(f"{path}:{lineno}: duplicate entity id {ident!r}")
+                    vectors[ident] = vec
+            except UnicodeDecodeError:
+                raise CheckpointError(f"{path}:{undecodable_line(path)}: not valid UTF-8") from None
         if dim is None:
-            raise CheckpointError(f"{path}: no vectors found")
+            raise CheckpointError(f"{path}:1: no vectors found")
         return cls(vectors, dim)
 
     def entity_vector(self, entity_id: str) -> np.ndarray:

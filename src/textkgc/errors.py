@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the lookup that places a
+decoding failure on a line of its file."""
 
 
 class KgcError(Exception):
@@ -24,3 +25,20 @@ class CheckpointError(KgcError):
 
 class NumericError(KgcError):
     """A non-finite value surfaced in a loss, gradient, or parameter update."""
+
+
+def undecodable_line(path: str) -> int:
+    """The 1-based number of the first line of ``path`` that is not valid UTF-8.
+
+    Lines break as in text-mode reading (``\\n``, ``\\r\\n`` or ``\\r``), so the
+    number matches the one a reader counts.  Readers call this only after a
+    decode has failed, so a valid file is read once.
+    """
+    with open(path, "rb") as handle:
+        lines = handle.read().splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            return lineno
+    return max(len(lines), 1)

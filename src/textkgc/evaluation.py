@@ -4,14 +4,15 @@ Head prediction is evaluated as tail prediction on the inverse triple, so a
 single ranking code path covers both directions.  Candidates that form a
 known-true triple with the query are discarded before ranking (the target
 itself always stays), ties share a mean rank, and an optional re-ranking pass
-adds a constant boost to the head's k-hop train-graph neighborhood.
+adds a constant boost to the head's k-hop train-graph neighborhood.  A split
+is ranked in chunks of queries, each scored against every entity at once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +25,8 @@ HEAD_DIRECTION = "head"
 DIRECTIONS = (TAIL_DIRECTION, HEAD_DIRECTION)
 HITS_LEVELS = (1, 3, 10)
 UNKNOWN_CATEGORY = "unknown"
-INDEX_CHUNK = 256  # entities encoded per forward pass; bounds the (chunk, L, d) gather
+INDEX_CHUNK = 256  # texts encoded per forward pass; bounds the (chunk, L, d) gather
+RANK_CELLS = 2**18  # (query, entity) scores per ranked chunk; bounds the (chunk, E) blocks
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ def build_index(
     matrix = np.empty((len(ids), params.dim))
     for start in range(0, len(ids), INDEX_CHUNK):
         chunk = ids[start : start + INDEX_CHUNK]
-        texts = [enc.tokenize(augment_description(g, e), params.buckets, max_tokens) for e in chunk]
+        texts = enc.tokenize_texts([augment_description(g, e) for e in chunk], params.buckets, max_tokens)
         matrix[start : start + len(chunk)] = enc.forward_tail(params, enc.TokenIds.pad(texts)).output
     return EntityEmbeddingIndex(ids, matrix, forward_passes=len(ids))
 
@@ -96,14 +98,23 @@ def index_from_precomputed(
 def query_vector(
     g: KnowledgeGraph,
     params: enc.EncoderParams,
-    head: str,
-    relation: str,
+    pairs: Sequence[tuple[str, str]],
     max_tokens: int = enc.DEFAULT_MAX_TOKENS,
 ) -> np.ndarray:
-    h_tokens = enc.tokenize(augment_description(g, head), params.buckets, max_tokens)
-    r_tokens = enc.tokenize(g.relation(relation).description, params.buckets, max_tokens)
-    query = enc.combine_query_tokens(h_tokens, r_tokens, params.buckets, max_tokens)
-    return enc.forward_hr(params, enc.TokenIds.pad([query])).output[0]
+    """Unit query vectors of (head, relation) pairs, one row per pair.
+
+    Each distinct text is tokenized once, and up to ``INDEX_CHUNK`` queries
+    share a forward pass; a row's bits do not depend on the other pairs.
+    """
+    texts = [text for h, r in pairs for text in (augment_description(g, h), g.relation(r).description)]
+    tokens = enc.tokenize_texts(texts, params.buckets, max_tokens)
+    queries = [
+        enc.combine_query_tokens(h, r, params.buckets, max_tokens) for h, r in zip(tokens[0::2], tokens[1::2])
+    ]
+    return np.concatenate([
+        enc.forward_hr(params, enc.TokenIds.pad(queries[start : start + INDEX_CHUNK])).output
+        for start in range(0, len(queries), INDEX_CHUNK)
+    ])
 
 
 def rerank_scores(
@@ -122,22 +133,43 @@ def rerank_scores(
 def _candidate_scores(
     g: KnowledgeGraph,
     idx: EntityEmbeddingIndex,
-    params: enc.EncoderParams,
-    head: str,
-    relation: str,
+    heads: Sequence[str],
+    queries: np.ndarray,
     rerank: Optional[RerankConfig],
-    max_tokens: int,
 ) -> np.ndarray:
+    """(query, entity) scores, each head's k-hop boost added to its query's row."""
     if len(idx.entity_ids) != len(g.entities):
         raise KgcError("the index must hold every entity of the graph")
-    # one dot per row, each summed the same way, so identical rows tie exactly
-    # (a BLAS matrix-vector product sums some rows in another order)
-    scores = np.einsum("ij,j->i", idx.matrix, query_vector(g, params, head, relation, max_tokens))
+    # one dot per cell, each summed the same way whatever the chunk, so
+    # identical rows tie exactly (a BLAS product sums some cells in another order)
+    scores = np.einsum("qj,ij->qi", queries, idx.matrix)
     if rerank is not None and rerank.alpha != 0.0:
-        hood = k_hop_neighbors(g, head, rerank.hops)
-        if hood:
-            scores = rerank_scores(idx, scores, hood, rerank.alpha)
+        for row, head in enumerate(heads):
+            hood = k_hop_neighbors(g, head, rerank.hops)
+            if hood:
+                scores[row] = rerank_scores(idx, scores[row], hood, rerank.alpha)
     return scores
+
+
+def _rank_chunk(
+    g: KnowledgeGraph,
+    idx: EntityEmbeddingIndex,
+    triples: Sequence[Triple],
+    queries: np.ndarray,
+    rerank: Optional[RerankConfig],
+) -> np.ndarray:
+    """The ``rank_one`` rank of each triple, given its query vector as a row of ``queries``."""
+    targets = np.array([idx.row(t) for _, _, t in triples], dtype=np.int64)
+    scores = _candidate_scores(g, idx, [h for h, _, _ in triples], queries, rerank)
+    rows = np.arange(len(triples))
+    kept = np.ones(scores.shape, dtype=bool)
+    for row, (h, r, _) in enumerate(triples):
+        kept[row, g.known_tail_numbers(h, r)] = False  # index rows are entity numbers
+    kept[rows, targets] = True
+    target_scores = scores[rows, targets][:, None]
+    greater = np.count_nonzero(kept & (scores > target_scores), axis=1)
+    equal = np.count_nonzero(kept & (scores == target_scores), axis=1)  # includes the target
+    return 1.0 + greater + (equal - 1) / 2.0
 
 
 def rank_one(
@@ -153,17 +185,8 @@ def rank_one(
     Candidates t' != t with (h, r, t') known in any split are discarded.
     rank = 1 + #{kept strictly above target} + #{kept tied with target}/2.
     """
-    h, r, t = triple
-    target_row = idx.row(t)
-    scores = _candidate_scores(g, idx, params, h, r, rerank, max_tokens)
-    target_score = scores[target_row]
-    drop = np.zeros(len(scores), dtype=bool)
-    drop[g.known_tail_numbers(h, r)] = True  # index rows are entity numbers
-    drop[target_row] = False
-    kept = scores[~drop]
-    greater = int(np.count_nonzero(kept > target_score))
-    equal = int(np.count_nonzero(kept == target_score))  # includes the target
-    return 1.0 + greater + (equal - 1) / 2.0
+    query = query_vector(g, params, [(triple.head, triple.relation)], max_tokens)
+    return float(_rank_chunk(g, idx, [triple], query, rerank)[0])
 
 
 class TripleRanking(NamedTuple):
@@ -221,8 +244,10 @@ def evaluate(
 ) -> RankingResult:
     """Rank every triple of the split in order; inverse rows count as head prediction.
 
-    Overall metrics are the mean of the two directional metric sets, and
-    ``forward_passes`` adds one query encoding per triple to the index cost.
+    All queries are encoded in one ``query_vector`` call, then ranked in
+    chunks of about ``RANK_CELLS`` scores.  Overall metrics are the mean of
+    the two directional metric sets, and ``forward_passes`` adds one query
+    encoding per triple to the index cost.
     """
     if not g.inverse_augmented:
         raise KgcError("evaluation requires an inverse-augmented graph")
@@ -230,14 +255,20 @@ def evaluate(
     if not triples:
         raise KgcError(f"split {split!r} has no triples")
 
+    queries = query_vector(g, params, [(h, r) for h, r, _ in triples], max_tokens)
+    chunk = max(1, RANK_CELLS // max(1, len(idx.entity_ids)))
+    ranked = np.concatenate([
+        _rank_chunk(g, idx, triples[start : start + chunk], queries[start : start + chunk], rerank)
+        for start in range(0, len(triples), chunk)
+    ])
     rankings = [
         TripleRanking(
             triple,
             HEAD_DIRECTION if g.relation(triple.relation).is_inverse else TAIL_DIRECTION,
-            rank_one(g, idx, params, triple, rerank, max_tokens),
+            rank,
             g.relation_category(triple.relation) or UNKNOWN_CATEGORY,
         )
-        for triple in triples
+        for triple, rank in zip(triples, ranked.tolist())
     ]
 
     per_direction = {}
@@ -277,9 +308,8 @@ def predict_topk(
     """
     if k < 1:
         raise KgcError(f"k must be >= 1, got {k}")
-    g.entity(head)
-    g.relation(relation)
-    scores = _candidate_scores(g, idx, params, head, relation, rerank, max_tokens)
+    query = query_vector(g, params, [(head, relation)], max_tokens)
+    scores = _candidate_scores(g, idx, [head], query, rerank)[0]
     k = min(k, scores.size)
     # every row scoring at least the k-th largest score, ties included, in
     # row order; rows are in id order, so a stable sort breaks ties by id

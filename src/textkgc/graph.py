@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import KgcError, ParseError, UnknownIdError
+from .errors import KgcError, ParseError, UnknownIdError, undecodable_line
 
 SPLITS = ("train", "valid", "test")
 RELATION_CATEGORIES = ("1-1", "1-n", "n-1", "n-n")
@@ -63,8 +63,7 @@ class KnowledgeGraph:
     * the known triples of all splits, as one sorted int64 array of keys
       ``(h * R + r) * E + t``, where h and t number the entities and r the
       relations in sorted-id order and E and R count them; ``known``,
-      ``known_tail_numbers``, ``known_tails`` and ``is_known_triple``
-      answer from it
+      ``known_tail_numbers`` and ``is_known_triple`` answer from it
 
     Relation categories are computed on first use and kept.
     """
@@ -91,8 +90,7 @@ class KnowledgeGraph:
             more = f" (+{len(unknown) - 20} more)" if len(unknown) > 20 else ""
             raise UnknownIdError(f"triples reference undeclared ids: {shown}{more}")
 
-        self._entity_order = sorted(self._entities)
-        self._entity_number = ent = {e: i for i, e in enumerate(self._entity_order)}
+        self._entity_number = ent = {e: i for i, e in enumerate(sorted(self._entities))}
         self._relation_number = rel = {r: i for i, r in enumerate(sorted(self._relations))}
         E, R = len(ent), len(rel)
         report = dict(load_report) if load_report else {}
@@ -191,10 +189,6 @@ class KnowledgeGraph:
         first = (h * len(self._relation_number) + r) * E
         return keys[keys.searchsorted(first) : keys.searchsorted(first + E)] - first
 
-    def known_tails(self, head: str, relation: str) -> frozenset[str]:
-        """All tails t with (head, relation, t) in any split."""
-        return frozenset([self._entity_order[t] for t in self.known_tail_numbers(head, relation).tolist()])
-
     def inverse_of(self, relation_id: str) -> str:
         """Id of the relation pointing the opposite way.
 
@@ -224,10 +218,13 @@ class KnowledgeGraph:
 
 def _read_lines(path: str) -> Iterator[tuple[int, str]]:
     with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\r\n")
-            if line:
-                yield lineno, line
+        try:
+            for lineno, raw in enumerate(handle, start=1):
+                line = raw.rstrip("\r\n")
+                if line:
+                    yield lineno, line
+        except UnicodeDecodeError:
+            raise ParseError(path, undecodable_line(path), "not valid UTF-8") from None
 
 
 def _read_descriptions(path: str, kind: str) -> dict[str, tuple[str, str]]:

@@ -194,21 +194,18 @@ class TrainTokens:
 
 def build_token_cache(g: KnowledgeGraph, cfg: TrainConfig, buckets: int) -> TrainTokens:
     """Tokenize every train triple once; each distinct text is hashed once."""
-    seen: dict[str, list[int]] = {}
-
-    def tokens(text: str) -> list[int]:
-        hit = seen.get(text)
-        if hit is None:
-            hit = seen[text] = enc.tokenize(text, buckets, cfg.max_tokens)
-        return hit
-
-    queries, tails, heads = [], [], []
-    for h, r, t in g.triples("train"):
-        head = tokens(augment_description(g, h, exclude=t))
-        relation = tokens(g.relation(r).description)
-        queries.append(enc.combine_query_tokens(head, relation, buckets, cfg.max_tokens))
-        tails.append(tokens(augment_description(g, t, exclude=h)))
-        heads.append(head)
+    texts = (
+        text
+        for h, r, t in g.triples("train")
+        for text in (
+            augment_description(g, h, exclude=t),
+            g.relation(r).description,
+            augment_description(g, t, exclude=h),
+        )
+    )
+    tokens = enc.tokenize_texts(texts, buckets, cfg.max_tokens)
+    heads, relations, tails = tokens[0::3], tokens[1::3], tokens[2::3]
+    queries = [enc.combine_query_tokens(h, r, buckets, cfg.max_tokens) for h, r in zip(heads, relations)]
     return TrainTokens(enc.TokenIds.pad(queries), enc.TokenIds.pad(tails), enc.TokenIds.pad(heads))
 
 

@@ -379,10 +379,11 @@ def test_criterion_03_rank_oracle():
             got = rank_one(g, idx, params, triple)
             # rank_one's row-wise dot: texts holding the same colliding buckets in
             # another order score an ulp apart, and the oracle must see that too
-            q = query_vector(g, params, triple.head, triple.relation)
+            q = query_vector(g, params, [(triple.head, triple.relation)])[0]
             scores = np.einsum("ij,j->i", idx.matrix, q)
             drop = np.zeros(len(idx.entity_ids), dtype=bool)
-            for e in g.known_tails(triple.head, triple.relation):
+            numbered = sorted(g.entities)  # known_tail_numbers counts in sorted-id order
+            for e in (numbered[n] for n in g.known_tail_numbers(triple.head, triple.relation).tolist()):
                 if e != triple.tail:
                     drop[idx.row(e)] = True
             want = _oracle_rank(scores, drop, idx.row(triple.tail))
@@ -458,7 +459,7 @@ def test_criterion_07_rerank_exactness():
     bump_ok = True
     hood_sizes = []
     for head in (ents[0], ents[1], ents[17], ents[4]):
-        base = idx.matrix @ query_vector(g, params, head, "r")
+        base = idx.matrix @ query_vector(g, params, [(head, "r")])[0]
         hood = k_hop_neighbors(g, head, 2)
         boosted = rerank_scores(idx, base, hood, 0.05)
         changed = np.nonzero(boosted != base)[0]

@@ -119,6 +119,17 @@ def test_train_divergence_exits_numeric(tmp_path, capsys):
     assert "non-finite" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1e-320"])
+def test_train_rejects_bad_temperature(tmp_path, capsys, value):
+    flags = data_flags(tmp_path)
+    code = main(["train", *flags, *FAST_TRAIN, "--temperature", value, "--out", str(tmp_path / "m.tsv")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: temperature must be a finite number > 0")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not (tmp_path / "m.tsv").exists()
+
+
 def test_missing_required_flag(tmp_path, capsys):
     code = main(["train", "--train", "x.tsv"])
     assert code == EXIT_USAGE
@@ -377,6 +388,37 @@ def test_config_file_parse_error(tmp_path, capsys):
     code = main(["train", *flags, "--config", str(config)])
     assert code == EXIT_USAGE
     assert "broken.conf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reader", ["triples", "descriptions", "config", "checkpoint", "embeddings"])
+def test_non_utf8_input_names_its_line(trained, tmp_path, capsys, reader):
+    flags, out = trained
+    capsys.readouterr()
+    bad = tmp_path / "bad.tsv"
+    extra = []
+    if reader in ("triples", "descriptions"):
+        at = flags.index("--train" if reader == "triples" else "--entities") + 1
+        text = open(flags[at], "rb").read().split(b"\n")
+        text[2] = text[2] + b"\xff"
+        bad.write_bytes(b"\n".join(text))
+        flags = [*flags[:at], str(bad), *flags[at + 1:]]
+        line = 3
+    elif reader == "config":
+        bad.write_bytes(b"# run\nepochs = 1\n# caf\xe9\n")
+        extra, line = ["--config", str(bad)], 3
+    elif reader == "checkpoint":
+        text = out.read_bytes().split(b"\n")
+        text[4] = b"\x80" + text[4]
+        bad.write_bytes(b"\n".join(text))
+        out, line = bad, 5
+    else:
+        assert main(["export-embeddings", *flags, "--checkpoint", str(out), "--out", str(bad)]) == EXIT_OK
+        bad.write_bytes(bad.read_bytes().replace(b"\n", b"\n\xc3(", 1))
+        extra, line = ["--precomputed-embeddings", str(bad)], 2
+    code = main(["evaluate", *flags, "--checkpoint", str(out), *extra])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}:{line}: not valid UTF-8\n"
 
 
 def test_config_file_bad_value(tmp_path, capsys):

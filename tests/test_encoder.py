@@ -116,6 +116,14 @@ def test_initialize_shapes_and_ranges():
     assert math.isclose(temperature(p.log_inv_tau), 0.05, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, 5e-324])
+def test_initialize_rejects_temperatures_without_a_finite_log(value):
+    # 1 / 5e-324 overflows to inf, so its log would be infinite too
+    with pytest.raises(KgcError, match="temperature must be a finite number > 0"):
+        tiny_params(initial_temperature=value)
+    assert math.isfinite(tiny_params(initial_temperature=1e-300).log_inv_tau)
+
+
 def test_encode_tail_of_identical_rows_is_direction():
     p = tiny_params(buckets=8, dim=4)
     v = np.array([3.0, 0.0, 4.0, 0.0])
@@ -469,6 +477,25 @@ def test_checkpoint_body_errors_carry_line_numbers(tmp_path):
         load_checkpoint(str(path))
 
 
+def test_checkpoint_errors_name_path_and_line(tmp_path):
+    p = tiny_params(buckets=3, dim=2, seed=1)
+    path = tmp_path / "ck.tsv"
+    save_checkpoint(p, str(path))
+    good = path.read_bytes()
+    lines = good.split(b"\n")
+    # a header claiming far more values than the file holds is rejected
+    # before any table is allocated
+    path.write_bytes(b"kgc-enc v1 99999999999999 8\n" + b"\n".join(lines[1:]))
+    with pytest.raises(CheckpointError, match="ck.tsv:1: bad checkpoint header"):
+        load_checkpoint(str(path))
+    path.write_bytes(b"\n".join(lines[:5] + [lines[5] + b"\xff"] + lines[6:]))
+    with pytest.raises(CheckpointError, match="ck.tsv:6: not valid UTF-8"):
+        load_checkpoint(str(path))
+    path.write_bytes(good + b"extra\n")
+    with pytest.raises(CheckpointError, match="ck.tsv:9: trailing data"):
+        load_checkpoint(str(path))
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_checkpoint_rejects_non_finite_values(tmp_path, value):
     p = tiny_params(buckets=3, dim=2, seed=1)
@@ -517,4 +544,7 @@ def test_precomputed_rejects_bad_rows(tmp_path):
         PrecomputedEntityEncoder.load(str(path))
     path.write_text("a\t1.0 0.0\nb\t0.0 1.0\na\t0.0 -1.0\n")
     with pytest.raises(CheckpointError, match="emb.tsv:3: duplicate entity id 'a'"):
+        PrecomputedEntityEncoder.load(str(path))
+    path.write_bytes(b"a\t1.0 0.0\n\nb\x80\t0.0 1.0\n")
+    with pytest.raises(CheckpointError, match="emb.tsv:3: not valid UTF-8"):
         PrecomputedEntityEncoder.load(str(path))

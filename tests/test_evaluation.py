@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from textkgc import encoder as enc
 from textkgc import evaluation as ev
 from textkgc import graph as kg
 from textkgc.encoder import (
@@ -140,7 +141,7 @@ def _rank_fixture(extra_valid=()):
         augment=True,
     )
     params = tiny_params()
-    q = query_vector(g, params, "a", "r")
+    q = query_vector(g, params, [("a", "r")])[0]
     return g, params, q
 
 
@@ -217,10 +218,11 @@ def test_rank_one_matches_exhaustive_oracle():
             # the row-wise dot rank_one scores with: texts that hold the same
             # colliding buckets in another order score an ulp apart, and the
             # oracle must see those gaps as the program does
-            q = query_vector(g, params, triple.head, triple.relation)
+            q = query_vector(g, params, [(triple.head, triple.relation)])[0]
             scores = np.einsum("ij,j->i", idx.matrix, q)
             target = scores[idx.row(triple.tail)]
-            known = g.known_tails(triple.head, triple.relation)
+            numbered = sorted(g.entities)  # known_tail_numbers counts in sorted-id order
+            known = {numbered[n] for n in g.known_tail_numbers(triple.head, triple.relation).tolist()}
             kept = [
                 s for e, s in zip(idx.entity_ids, scores)
                 if e == triple.tail or e not in known
@@ -254,7 +256,7 @@ def test_rerank_flips_argmax_inside_two_hops():
     # d scores 0.90, c scores 0.87; c is two hops from a, d is disconnected
     g = make_graph(train=[("a", "r", "b"), ("b", "r", "c"), ("d", "r", "e")], augment=True)
     params = tiny_params()
-    q = query_vector(g, params, "a", "r")
+    q = query_vector(g, params, [("a", "r")])[0]
     ids = sorted(g.entities)
     want = {"a": 0.0, "b": 0.1, "c": 0.87, "d": 0.90, "e": 0.2}
     idx = crafted_index(ids, rows_with_scores(q, [want[e] for e in ids]))
@@ -296,8 +298,8 @@ def _two_direction_fixture():
         augment=True,
     )
     params = tiny_params()
-    qf = query_vector(g, params, "e1", "r")
-    qi = query_vector(g, params, "e2", "inverse::r")
+    qf = query_vector(g, params, [("e1", "r")])[0]
+    qi = query_vector(g, params, [("e2", "inverse::r")])[0]
     ids = sorted(g.entities)  # e1..e4
     forward = {"e1": 0.10, "e2": 0.90, "e3": 0.30, "e4": 0.20}
     inverse = {"e1": 0.10, "e2": 0.85, "e3": 0.60, "e4": 0.50}
@@ -417,13 +419,41 @@ def test_evaluate_counts_forward_passes_through_counter(encoded_rows):
     assert result.forward_passes == 5
 
 
+def test_evaluate_tokenizes_each_distinct_text_once(monkeypatch):
+    # heads and relations repeat across the split, and one query per chunk
+    # spreads the repeats over many chunks
+    g = make_graph(
+        train=[("a", "r", "b"), ("b", "q", "c"), ("c", "r", "a")],
+        test=[("a", "r", "c"), ("a", "q", "b"), ("b", "r", "a"), ("c", "q", "a")],
+        descriptions={"a": "alpha", "b": "beta words", "q": "qualifies"},
+        augment=True,
+    )
+    params = tiny_params()
+    idx = build_index(g, params)
+    want = evaluate(g, idx, params).report()
+    calls = []
+    original = enc.tokenize
+
+    def counted(text, *args, **kwargs):
+        calls.append(text)
+        return original(text, *args, **kwargs)
+
+    monkeypatch.setattr(enc, "tokenize", counted)
+    monkeypatch.setattr(ev, "RANK_CELLS", 1)
+    assert evaluate(g, idx, params).report() == want
+    triples = g.triples("test")
+    texts = {augment_description(g, h) for h, _, _ in triples}
+    texts |= {g.relation(r).description for _, r, _ in triples}
+    assert sorted(calls) == sorted(texts)
+
+
 # -- predict_topk ------------------------------------------------------------
 
 
 def test_predict_topk_orders_and_flags():
     g = make_graph(train=[("a", "r", "b"), ("b", "r", "c")], augment=True)
     params = tiny_params()
-    q = query_vector(g, params, "a", "r")
+    q = query_vector(g, params, [("a", "r")])[0]
     ids = sorted(g.entities)
     want = {"a": 0.1, "b": 0.8, "c": 0.5}
     idx = crafted_index(ids, rows_with_scores(q, [want[e] for e in ids]))
@@ -437,7 +467,7 @@ def test_predict_topk_orders_and_flags():
 def test_predict_topk_tie_breaks_toward_smaller_id():
     g = make_graph(train=[("a", "r", "b"), ("a", "r", "c")], augment=True)
     params = tiny_params()
-    q = query_vector(g, params, "a", "r")
+    q = query_vector(g, params, [("a", "r")])[0]
     rows = rows_with_scores(q, [0.0, 0.7, 0.7])
     rows[2] = rows[1].copy()
     idx = crafted_index(sorted(g.entities), rows)
@@ -452,7 +482,7 @@ def test_identical_rows_tie_exactly_in_rank_and_topk():
     twins = [f"t{i}" for i in range(7)]
     g = make_graph(train=[("a", "r", "o0")] + [("o1", "q", t) for t in twins], augment=True)
     params = tiny_params(buckets=64, dim=32, seed=8)
-    q = query_vector(g, params, "a", "r")
+    q = query_vector(g, params, [("a", "r")])[0]
     ids = sorted(g.entities)  # a, o0..o3, t0..t6
     rng = np.random.default_rng(3)
     twin = rng.normal(size=32)

@@ -66,6 +66,20 @@ def test_load_graph_malformed_line_reports_position(tmp_path):
     assert "train.tsv" in str(err.value)
 
 
+def test_load_graph_non_utf8_reports_position(tmp_path):
+    # "\r" breaks a line as it does in text-mode reading; the bad byte is on line 3
+    paths = _write(tmp_path, train=[("a", "r", "b")])
+    (tmp_path / "train.tsv").write_bytes(b"a\tr\tb\r\na\tr\tb\rb\tr\t\xe9\n")
+    with pytest.raises(ParseError, match="not valid UTF-8") as err:
+        load_graph(*paths)
+    assert err.value.line == 3
+    assert err.value.path == paths[0]
+    (tmp_path / "train.tsv").write_bytes(b"a\tr\tb\n")
+    (tmp_path / "relations.tsv").write_bytes(b"r\tr name\tr relates \xe2\x82")  # cut mid-character
+    with pytest.raises(ParseError, match="relations.tsv:1: not valid UTF-8"):
+        load_graph(*paths)
+
+
 def test_load_graph_blank_lines_skipped(tmp_path):
     paths = _write(tmp_path, train=[("a", "r", "b")])
     (tmp_path / "train.tsv").write_text("\na\tr\tb\n\n", encoding="utf-8")
@@ -350,8 +364,8 @@ def test_is_known_triple_no_false_positives(rng):
 
 def test_known_tails_accumulates_across_splits():
     g = make_graph(train=[("a", "r", "b")], valid=[("a", "r", "c")], test=[("a", "r", "d")])
-    assert g.known_tails("a", "r") == {"b", "c", "d"}
-    assert g.known_tails("b", "r") == frozenset()
+    assert g.known_tail_numbers("a", "r").tolist() == [1, 2, 3]  # b, c, d
+    assert g.known_tail_numbers("b", "r").tolist() == []
 
 
 def test_known_answers_whole_arrays():
@@ -370,13 +384,12 @@ def test_known_answers_whole_arrays():
     assert g.known_tail_numbers("a", "r").tolist() == [1, 2]
     assert g.known_tail_numbers("c", "s").tolist() == [0]
     assert g.known_tail_numbers("zz", "r").tolist() == []
-    assert g.known_tails("zz", "r") == frozenset()
-    assert g.known_tails("a", "nope") == frozenset()
+    assert g.known_tail_numbers("a", "nope").tolist() == []
     assert is_known_triple(g, ("c", "s", "a")) and not is_known_triple(g, ("a", "s", "c"))
     assert not is_known_triple(g, ("zz", "r", "zz"))
     empty = KnowledgeGraph([Entity("a", "A")], [Relation("r", "r")], {})
     assert empty.known(0, 0, np.array([0, -1])).tolist() == [False, False]
-    assert empty.known_tails("a", "r") == frozenset()
+    assert empty.known_tail_numbers("a", "r").tolist() == []
 
 
 def test_adjacency_covers_train_only():

@@ -1,5 +1,8 @@
-"""Property tests: the whole-array candidate mask and top-k selection against
-per-cell and sort-based references kept here."""
+"""Property tests: the whole-array candidate mask, top-k selection and
+chunked ranking against per-cell and sort-based references kept here, and
+the loaders fed corrupted files."""
+
+import re
 
 import numpy as np
 import pytest
@@ -11,11 +14,27 @@ from hypothesis import strategies as st
 
 from textkgc import evaluation as ev
 from textkgc.contrastive import PreBatchQueue, TrainingBatch, assemble_candidates
-from textkgc.encoder import DEFAULT_MAX_TOKENS
-from textkgc.evaluation import EntityEmbeddingIndex, RerankConfig, predict_topk, query_vector
-from textkgc.graph import SPLITS, Triple
+from textkgc.encoder import (
+    PrecomputedEntityEncoder,
+    TokenIds,
+    combine_query_tokens,
+    forward_hr,
+    load_checkpoint,
+    save_checkpoint,
+    tokenize,
+)
+from textkgc.errors import CheckpointError, ParseError, UnknownIdError
+from textkgc.evaluation import (
+    EntityEmbeddingIndex,
+    RerankConfig,
+    evaluate,
+    predict_topk,
+    query_vector,
+    rank_one,
+)
+from textkgc.graph import SPLITS, Triple, augment_description, k_hop_neighbors, load_graph
 
-from conftest import make_graph, tiny_params
+from conftest import make_graph, tiny_params, write_dataset
 
 
 def _batch_for(rows, dim=4, seed=0):
@@ -90,13 +109,173 @@ def test_predict_topk_matches_sorted_reference(levels, k, rerank):
     ids = [f"e{i:02d}" for i in range(len(levels))]
     g = make_graph(train=[(ids[i], "r", ids[i + 1]) for i in range(len(ids) - 1)], augment=True)
     params = tiny_params()
-    q = query_vector(g, params, ids[0], "r")
+    q = query_vector(g, params, [(ids[0], "r")])
     # equal levels give bitwise-equal rows, so their scores tie exactly
-    idx = EntityEmbeddingIndex(ids, np.outer([0.1 * level for level in levels], q), forward_passes=0)
+    idx = EntityEmbeddingIndex(ids, np.outer([0.1 * level for level in levels], q[0]), forward_passes=0)
     cfg = RerankConfig(0.05, 2) if rerank else None
 
-    scores = ev._candidate_scores(g, idx, params, ids[0], "r", cfg, DEFAULT_MAX_TOKENS)
+    scores = ev._candidate_scores(g, idx, [ids[0]], q, cfg)[0]
     order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))[:k]
-    known = g.known_tails(ids[0], "r")
+    known = {ids[n] for n in g.known_tail_numbers(ids[0], "r").tolist()}  # ids are sorted
     want = [(ids[i], float(scores[i]), ids[i] in known) for i in order]
     assert predict_topk(g, idx, params, ids[0], "r", k, cfg) == want
+
+
+# -- the chunked read path -----------------------------------------------------
+
+
+def _sort_reference_rank(g, idx, q, triple, rerank):
+    """Mean 1-based place of the target's score among the kept scores, sorted."""
+    h, r, t = triple
+    scores = np.einsum("ij,j->i", idx.matrix, q)  # one query at a time
+    if rerank is not None:
+        for e in k_hop_neighbors(g, h, rerank.hops):
+            scores[idx.entity_ids.index(e)] += rerank.alpha
+    known = {trip for split in SPLITS for trip in g.triples(split)}
+    target = scores[idx.entity_ids.index(t)]
+    kept = sorted(
+        (s for e, s in zip(idx.entity_ids, scores) if e == t or (h, r, e) not in known), reverse=True
+    )
+    places = [place for place, s in enumerate(kept, start=1) if s == target]
+    return sum(places) / len(places)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    train=st.lists(_triples, min_size=1, max_size=10),
+    valid=st.lists(_triples, max_size=4),
+    test=st.lists(_triples, min_size=1, max_size=6),
+    picks=st.lists(st.integers(0, 2), min_size=len(ENTITY_POOL), max_size=len(ENTITY_POOL)),
+    chunk=st.sampled_from([1, 2, 1000]),
+    rerank=st.booleans(),
+)
+def test_evaluate_ranks_match_rank_one_and_a_sort_reference(train, valid, test, picks, chunk, rerank):
+    # known triples in every split, reflexive ones among them; each entity's
+    # row is one of three vectors, so entities sharing a vector tie exactly
+    g = make_graph(train=train, valid=valid, test=test, augment=True)
+    ids = sorted(g.entities)
+    pool = np.random.default_rng(4).normal(size=(3, 8))
+    idx = EntityEmbeddingIndex(ids, pool[[picks[ENTITY_POOL.index(e)] for e in ids]], forward_passes=0)
+    params = tiny_params()
+    cfg = RerankConfig(0.05, 2) if rerank else None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ev, "RANK_CELLS", chunk * len(ids))  # chunk queries per ranked block
+        result = evaluate(g, idx, params, "test", cfg)
+    assert [row.triple for row in result.rankings] == list(g.triples("test"))
+    for row in result.rankings:
+        q = query_vector(g, params, [row.triple[:2]])[0]
+        assert row.rank == rank_one(g, idx, params, row.triple, cfg)
+        assert row.rank == _sort_reference_rank(g, idx, q, row.triple, cfg)
+
+
+_RELATIONS = ["r", "s", "inverse::r", "inverse::s"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(st.sampled_from(ENTITY_POOL), st.sampled_from(_RELATIONS)), min_size=1, max_size=12
+    ),
+    chunk=st.sampled_from([1, 2, 256]),
+)
+def test_query_vector_batch_matches_each_query_alone(pairs, chunk):
+    # texts of several lengths, so batched rows carry padding
+    descriptions = {e: " ".join(["word"] * i + [e]) for i, e in enumerate(ENTITY_POOL)}
+    descriptions.update(r="relates to", s="is near")
+    g = make_graph(
+        train=[("a", "r", "b"), ("b", "s", "c"), ("c", "r", "d"), ("d", "s", "e")],
+        descriptions=descriptions,
+        augment=True,
+    )
+    params = tiny_params(buckets=64, dim=16)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ev, "INDEX_CHUNK", chunk)
+        batch = query_vector(g, params, pairs)
+    for row, (h, r) in zip(batch, pairs):
+        alone = query_vector(g, params, [(h, r)])[0]
+        tokens = combine_query_tokens(
+            tokenize(augment_description(g, h), params.buckets),
+            tokenize(g.relation(r).description, params.buckets),
+            params.buckets,
+        )
+        direct = forward_hr(params, TokenIds.pad([tokens])).output[0]
+        assert row.tobytes() == alone.tobytes() == direct.tobytes()
+
+
+# -- loaders fed corrupted files ---------------------------------------------------
+
+_PIECES = st.sampled_from(
+    [b"\xff", b"\xc3(", b"\x00", b"\t", b"nan", b"\n", b"\r", b" ", b"-", b"99"]
+) | st.binary(min_size=1, max_size=4)
+_EDITS = st.lists(
+    st.tuples(st.floats(0.0, 1.0), st.sampled_from(["insert", "overwrite", "cut"]), _PIECES),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _corrupt(base: bytes, edits) -> bytes:
+    data = bytearray(base)
+    for where, kind, piece in edits:
+        at = int(where * len(data))
+        if kind == "insert":
+            data[at:at] = piece
+        elif kind == "overwrite":
+            data[at : at + len(piece)] = piece
+        else:
+            del data[at:]
+    return bytes(data)
+
+
+def _assert_names_line(err, path):
+    if isinstance(err, (ParseError, CheckpointError)):
+        assert re.match(re.escape(path) + r":\d+: ", str(err)), str(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(which=st.integers(0, 4), edits=_EDITS)
+@example(which=0, edits=[(0.5, "insert", b"\xff")])  # invalid UTF-8
+@example(which=3, edits=[(0.3, "overwrite", b"\x00")])  # NUL
+@example(which=4, edits=[(0.2, "insert", b"\t")])  # stray tab
+@example(which=1, edits=[(0.0, "insert", b"nan\t")])
+@example(which=2, edits=[(1.0, "insert", b"\xe2\x82")])  # truncated multibyte sequence at the end
+def test_graph_loader_raises_only_typed_errors(tmp_path_factory, which, edits):
+    paths = write_dataset(
+        tmp_path_factory.mktemp("fuzz"),
+        [("a", "r", "b"), ("b", "r", "c")],
+        [("a", "r", "c")],
+        [("c", "s", "a")],
+        [("a", "A", "first thing"), ("b", "B", ""), ("c", "C", "third")],
+        [("r", "rel", "relates"), ("s", "sib")],
+    )
+    with open(paths[which], "rb") as fh:
+        base = fh.read()
+    with open(paths[which], "wb") as fh:
+        fh.write(_corrupt(base, edits))
+    try:
+        load_graph(*paths)
+    except (ParseError, UnknownIdError) as err:
+        _assert_names_line(err, paths[which])
+
+
+@settings(max_examples=200, deadline=None)
+@given(embeddings=st.booleans(), edits=_EDITS)
+@example(embeddings=False, edits=[(0.5, "insert", b"\xff")])
+@example(embeddings=True, edits=[(0.5, "insert", b"\xff")])
+@example(embeddings=False, edits=[(0.0, "overwrite", b"\x00")])
+@example(embeddings=True, edits=[(0.4, "insert", b"\t")])
+@example(embeddings=False, edits=[(0.6, "overwrite", b"nan")])
+def test_checkpoint_loaders_raise_only_checkpoint_errors(tmp_path_factory, embeddings, edits):
+    path = str(tmp_path_factory.mktemp("fuzz") / "file.tsv")
+    if embeddings:
+        base = b"a\t1.0 0.0\nb\t0.6 0.8\nc\t0.0 -1.0\n"
+    else:
+        save_checkpoint(tiny_params(buckets=4, dim=2), path)
+        with open(path, "rb") as fh:
+            base = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(_corrupt(base, edits))
+    try:
+        PrecomputedEntityEncoder.load(path) if embeddings else load_checkpoint(path)
+    except CheckpointError as err:
+        _assert_names_line(err, path)
