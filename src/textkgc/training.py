@@ -86,10 +86,20 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
+    """Adaptive-moment state of both tables and the temperature.
+
+    ``m_*``/``v_*`` are bucket-indexed ``(buckets, d)`` moment tables and
+    ``touched_*`` ``(buckets,)`` masks of the rows that have ever had a
+    gradient.  A row outside its mask has m = v = 0 exactly, so
+    ``apply_update`` steps the moments of masked rows only.
+    """
+
     m_hr: np.ndarray
     v_hr: np.ndarray
     m_tail: np.ndarray
     v_tail: np.ndarray
+    touched_hr: np.ndarray
+    touched_tail: np.ndarray
     m_tau: float = 0.0
     v_tau: float = 0.0
     step: int = 0
@@ -97,7 +107,10 @@ class OptimizerState:
     @classmethod
     def zeros(cls, buckets: int, dim: int) -> "OptimizerState":
         shape = (buckets, dim)
-        return cls(np.zeros(shape), np.zeros(shape), np.zeros(shape), np.zeros(shape))
+        return cls(
+            np.zeros(shape), np.zeros(shape), np.zeros(shape), np.zeros(shape),
+            np.zeros(buckets, dtype=bool), np.zeros(buckets, dtype=bool),
+        )
 
 
 def lr_at(step: int, cfg: TrainConfig, total_steps: int) -> float:
@@ -140,26 +153,33 @@ def apply_update(
 
     theta <- theta - lr * mhat / (sqrt(vhat) + eps) - lr * weight_decay * theta.
     Weight decay is not applied to the temperature parameter.
+
+    m, v and the moment step run on the rows that have ever had a gradient
+    only.  Every other row has m = v = 0, so its full-table step would be
+    0 / (0 + eps) = 0 and leave it bitwise unchanged; every operation is
+    elementwise, so each element gets the bits of the full-table update.
+    Weight decay and the finiteness check cover the whole table.
     """
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
 
-    for table_name, ids, rows, m, v in (
-        (enc.HR_TABLE, grads.hr_ids, grads.hr, state.m_hr, state.v_hr),
-        (enc.TAIL_TABLE, grads.tail_ids, grads.tail, state.m_tail, state.v_tail),
+    for table_name, ids, rows, m, v, touched in (
+        (enc.HR_TABLE, grads.hr_ids, grads.hr, state.m_hr, state.v_hr, state.touched_hr),
+        (enc.TAIL_TABLE, grads.tail_ids, grads.tail, state.m_tail, state.v_tail, state.touched_tail),
     ):
         table = params.table(table_name)
-        g = np.zeros(table.shape)
-        g[ids] = rows
+        touched[ids] = True
+        live = np.flatnonzero(touched)
+        g = np.zeros((live.size, table.shape[1]))
+        g[np.searchsorted(live, ids)] = rows
         with np.errstate(over="ignore", invalid="ignore"):  # finiteness is checked below
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * np.square(g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-            table -= lr * update
+            m_live = ADAM_BETA1 * m[live] + (1.0 - ADAM_BETA1) * g
+            v_live = ADAM_BETA2 * v[live] + (1.0 - ADAM_BETA2) * np.square(g)
+            m[live], v[live] = m_live, v_live
+            update = (m_live / bc1) / (np.sqrt(v_live / bc2) + ADAM_EPS)
+            table[live] -= lr * update
             if cfg.weight_decay:
                 table -= lr * cfg.weight_decay * table
         if not np.isfinite(table).all():

@@ -1,11 +1,15 @@
 """Shared builders for graph, dataset-file, and candidate-matrix fixtures."""
 
+import math
+
 import numpy as np
 import pytest
 
 from textkgc import encoder as enc
+from textkgc import training as tr
 from textkgc.contrastive import IN_BATCH, CandidateMatrix
 from textkgc.encoder import EncoderParams
+from textkgc.errors import NumericError
 from textkgc.graph import Entity, KnowledgeGraph, Relation, Triple, add_inverse_triples
 from textkgc.randomness import named_stream
 
@@ -50,6 +54,47 @@ def write_dataset(dirpath, train, valid, test, entities, relations):
 
 def tiny_params(buckets=16, dim=8, seed=0, initial_temperature=0.05):
     return EncoderParams.initialize(buckets, dim, named_stream(seed, "init"), initial_temperature)
+
+
+def dense_apply_update(params, state, grads, lr, cfg):
+    """Reference AdamW step over every row of both tables.
+
+    Scatters the gradient rows into a full ``(buckets, d)`` array and steps
+    m, v and the table everywhere; ``training.apply_update`` must match it
+    bit for bit.  Leaves ``state.touched_*`` alone.
+    """
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - tr.ADAM_BETA1**t
+    bc2 = 1.0 - tr.ADAM_BETA2**t
+    for table_name, ids, rows, m, v in (
+        (enc.HR_TABLE, grads.hr_ids, grads.hr, state.m_hr, state.v_hr),
+        (enc.TAIL_TABLE, grads.tail_ids, grads.tail, state.m_tail, state.v_tail),
+    ):
+        table = params.table(table_name)
+        g = np.zeros(table.shape)
+        g[ids] = rows
+        with np.errstate(over="ignore", invalid="ignore"):
+            m *= tr.ADAM_BETA1
+            m += (1.0 - tr.ADAM_BETA1) * g
+            v *= tr.ADAM_BETA2
+            v += (1.0 - tr.ADAM_BETA2) * np.square(g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + tr.ADAM_EPS)
+            table -= lr * update
+            if cfg.weight_decay:
+                table -= lr * cfg.weight_decay * table
+        if not np.isfinite(table).all():
+            raise NumericError(f"non-finite parameter value in {table_name}_table after update")
+    state.m_tau = tr.ADAM_BETA1 * state.m_tau + (1.0 - tr.ADAM_BETA1) * grads.log_inv_tau
+    state.v_tau = tr.ADAM_BETA2 * state.v_tau + (1.0 - tr.ADAM_BETA2) * grads.log_inv_tau**2
+    params.log_inv_tau -= lr * (state.m_tau / bc1) / (math.sqrt(state.v_tau / bc2) + tr.ADAM_EPS)
+    return params, state
+
+
+def optimizer_bytes(params, state):
+    """The bytes of both tables, all four moment tables and the temperature."""
+    arrays = (params.hr_table, params.tail_table, state.m_hr, state.v_hr, state.m_tail, state.v_tail)
+    return [a.tobytes() for a in arrays] + [np.float64(params.log_inv_tau).tobytes()]
 
 
 def plain_matrix(scores, provenance=None, mask=None, sn_column=None):

@@ -1,6 +1,7 @@
 """Property tests: the whole-array candidate mask, top-k selection and
-chunked ranking against per-cell and sort-based references kept here, and
-the loaders fed corrupted files."""
+chunked ranking against per-cell and sort-based references kept here, the
+touched-row optimizer update against the dense one in conftest, and the
+loaders fed corrupted files."""
 
 import re
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from textkgc import evaluation as ev
 from textkgc.contrastive import PreBatchQueue, TrainingBatch, assemble_candidates
 from textkgc.encoder import (
+    GradientBuffer,
     PrecomputedEntityEncoder,
     TokenIds,
     combine_query_tokens,
@@ -33,8 +35,9 @@ from textkgc.evaluation import (
     rank_one,
 )
 from textkgc.graph import SPLITS, Triple, augment_description, k_hop_neighbors, load_graph
+from textkgc.training import OptimizerState, TrainConfig, apply_update
 
-from conftest import make_graph, tiny_params, write_dataset
+from conftest import dense_apply_update, make_graph, optimizer_bytes, tiny_params, write_dataset
 
 
 def _batch_for(rows, dim=4, seed=0):
@@ -200,6 +203,42 @@ def test_query_vector_batch_matches_each_query_alone(pairs, chunk):
         )
         direct = forward_hr(params, TokenIds.pad([tokens])).output[0]
         assert row.tobytes() == alone.tobytes() == direct.tobytes()
+
+
+# -- the touched-row optimizer update ------------------------------------------
+
+_ROW_IDS = st.lists(st.integers(0, 7), unique=True).map(sorted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(_ROW_IDS, _ROW_IDS, st.floats(0.0, 1.0), st.integers(-4, 2)), min_size=1, max_size=8
+    ),
+    weight_decay=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    seed=st.integers(0, 2**16),
+)
+@example(steps=[([0], [], 0.1, 0), ([], [], 0.1, 0), ([], [], 0.1, 0), ([0], [1], 0.1, 0)],
+         weight_decay=1e-4, seed=0)  # row 0 left out, then touched again
+def test_touched_row_update_matches_dense_reference(steps, weight_decay, seed):
+    dim = 3
+    rng = np.random.default_rng(seed)
+    params = tiny_params(buckets=8, dim=dim, seed=seed)
+    params.hr_table[rng.integers(8), rng.integers(dim)] = -0.0
+    ref_params = params.copy()
+    state, ref_state = OptimizerState.zeros(8, dim), OptimizerState.zeros(8, dim)
+    cfg = TrainConfig(weight_decay=weight_decay)
+    for hr_ids, tail_ids, lr, exponent in steps:
+        grads = [rng.normal(size=(len(ids), dim)) * 10.0**exponent for ids in (hr_ids, tail_ids)]
+        if hr_ids:
+            grads[0][0, 0] = -0.0
+        buf = GradientBuffer(
+            np.array(hr_ids, dtype=np.int64), grads[0],
+            np.array(tail_ids, dtype=np.int64), grads[1], rng.normal(),
+        )
+        apply_update(params, state, buf, lr, cfg)
+        dense_apply_update(ref_params, ref_state, buf, lr, cfg)
+        assert optimizer_bytes(params, state) == optimizer_bytes(ref_params, ref_state)
 
 
 # -- loaders fed corrupted files ---------------------------------------------------

@@ -12,6 +12,7 @@ from textkgc.encoder import (
     temperature,
 )
 from textkgc import encoder as enc
+from textkgc import training as tr
 from textkgc.errors import KgcError, NumericError
 from textkgc.graph import add_inverse_triples, augment_description
 from textkgc.randomness import named_stream
@@ -27,7 +28,8 @@ from textkgc.training import (
     train,
 )
 
-from conftest import make_graph, tiny_params
+import synth
+from conftest import dense_apply_update, make_graph, optimizer_bytes, tiny_params
 
 
 def fresh_params(seed=7, buckets=64, dim=8):
@@ -210,6 +212,72 @@ def test_update_detects_non_finite_parameters():
     with pytest.raises(NumericError, match="hr_table"):
         for _ in range(50):
             apply_update(params, state, buf, lr=1e300, cfg=cfg)
+
+
+def _random_buffer(rng, hr_ids, tail_ids, dim, scale=1.0):
+    hr = [(i, (scale * rng.normal(size=dim)).tolist()) for i in hr_ids]
+    tail = [(i, (scale * rng.normal(size=dim)).tolist()) for i in tail_ids]
+    return _buffer(hr=hr, tail=tail, tau=scale * rng.normal(), dim=dim)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+def test_update_matches_dense_reference_bitwise(weight_decay):
+    buckets, dim = 16, 3
+    params = tiny_params(buckets=buckets, dim=dim, seed=3)
+    params.hr_table[5, 1] = -0.0  # touched at the first step
+    params.hr_table[10, 2] = -0.0  # never touched
+    ref_params = params.copy()
+    state = OptimizerState.zeros(buckets, dim)
+    ref_state = OptimizerState.zeros(buckets, dim)
+    cfg = small_config(weight_decay=weight_decay)
+    rng = np.random.default_rng(11)
+    # rows 1, 5, 2 and 9 are touched, left out for several steps, then touched again
+    schedule = [
+        ([1, 5], [2, 9], 1.0),
+        ([], [], 1.0),
+        ([3], [9], 1.0),
+        ([], [4], 1.0),
+        ([7], [], 1.0),
+        ([1, 5], [2], 1.0),
+        ([1, 12], [2, 9, 15], 100.0),
+    ]
+    clipped = 0
+    for step, (hr_ids, tail_ids, scale) in enumerate(schedule):
+        buf = _random_buffer(rng, hr_ids, tail_ids, dim, scale)
+        if step == 0:
+            buf.hr[1, 0] = -0.0  # row 5
+        norm = buf.global_norm()
+        clip_gradients(buf, max_norm=5.0)
+        clipped += norm > 5.0
+        lr = 0.01 * (step + 1)
+        apply_update(params, state, buf, lr, cfg)
+        dense_apply_update(ref_params, ref_state, buf, lr, cfg)
+        assert optimizer_bytes(params, state) == optimizer_bytes(ref_params, ref_state), step
+    assert clipped == 1
+
+
+def test_update_steps_only_touched_rows_and_keeps_the_rest_exact():
+    buckets, dim = 16, 3
+    params = tiny_params(buckets=buckets, dim=dim, seed=5)
+    initial = params.copy()
+    state = OptimizerState.zeros(buckets, dim)
+    cfg = small_config(weight_decay=0.0)
+    rng = np.random.default_rng(23)
+    schedule = [([0, 6], [3]), ([], []), ([6, 11], []), ([], [3, 8]), ([2], [14])]
+    for hr_ids, tail_ids in schedule:
+        apply_update(params, state, _random_buffer(rng, hr_ids, tail_ids, dim), lr=0.05, cfg=cfg)
+    for table, first, m, v, touched, k in (
+        (params.hr_table, initial.hr_table, state.m_hr, state.v_hr, state.touched_hr, 0),
+        (params.tail_table, initial.tail_table, state.m_tail, state.v_tail, state.touched_tail, 1),
+    ):
+        seen = np.zeros(buckets, dtype=bool)
+        seen[[i for ids in schedule for i in ids[k]]] = True
+        assert np.array_equal(touched, seen)
+        zeros = np.zeros((np.count_nonzero(~seen), dim)).tobytes()
+        assert m[~seen].tobytes() == zeros
+        assert v[~seen].tobytes() == zeros
+        assert table[~seen].tobytes() == first[~seen].tobytes()
+        assert not np.array_equal(table[seen], first[seen])
 
 
 # -- config validation -------------------------------------------------------
@@ -445,6 +513,39 @@ def test_train_aborts_on_non_finite_loss():
     params.hr_table[:] = np.nan
     with pytest.raises(NumericError, match="step 0"):
         train(g, params, small_config())
+
+
+def test_train_is_byte_identical_to_dense_update(tmp_path, monkeypatch):
+    g = synth.pattern_graph()
+    cfg = TrainConfig(
+        batch_size=64,
+        epochs=2,
+        peak_lr=0.05,
+        warmup_steps=8,
+        grad_clip=0.05,
+        weight_decay=1e-4,
+        dropout=0.1,
+        negatives=frozenset({"ib", "pb", "sn"}),
+        pre_batches=2,
+        seed=19,
+    )
+    clipped = []
+    real_clip = tr.clip_gradients
+
+    def watched_clip(grads, max_norm):
+        clipped.append(grads.global_norm() > max_norm)
+        return real_clip(grads, max_norm)
+
+    monkeypatch.setattr(tr, "clip_gradients", watched_clip)
+    runs = []
+    for update in (tr.apply_update, dense_apply_update):
+        monkeypatch.setattr(tr, "apply_update", update)
+        path = tmp_path / f"{update.__name__}.tsv"
+        _, log = train(g, fresh_params(buckets=512, dim=16), cfg, checkpoint_path=str(path))
+        runs.append((path.read_bytes(), log))
+    assert any(clipped)
+    assert runs[0][1] == runs[1][1]
+    assert runs[0][0] == runs[1][0]
 
 
 def test_train_writes_checkpoint_per_epoch(tmp_path):
