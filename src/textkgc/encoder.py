@@ -150,10 +150,15 @@ class TokenIds:
         total = sum(map(len, sequences))
         if total == len(sequences) * width:  # no row needs padding
             return cls(np.array(sequences, dtype=np.int32).reshape(len(sequences), width), lengths)
-        ids = np.zeros((len(sequences), width), dtype=np.int32)
-        ids[np.arange(width) < lengths[:, None]] = np.fromiter(
-            chain.from_iterable(sequences), dtype=np.int32, count=total
-        )
+        flat = np.fromiter(chain.from_iterable(sequences), dtype=np.int32, count=total)
+        return cls.from_flat(flat, lengths)
+
+    @classmethod
+    def from_flat(cls, tokens: np.ndarray, lengths: np.ndarray) -> "TokenIds":
+        """Rows of ``lengths[i]`` tokens each, taken in order from one flat array."""
+        width = int(lengths.max(initial=0))
+        ids = np.zeros((lengths.size, width), dtype=np.int32)
+        ids[np.arange(width) < lengths[:, None]] = tokens
         return cls(ids, lengths)
 
     @classmethod
@@ -317,6 +322,10 @@ def encode_backward(encoding: Encoding, upstream: np.ndarray) -> tuple[np.ndarra
     share, added in row order and then text order.  Degenerate rows (no
     surviving tokens) have constant output and contribute nothing.  Returns
     the sorted ids of the touched table rows and one gradient row per id.
+
+    The shares are scattered by one ``np.bincount`` over flat (id, column)
+    bins: it adds each weight into a zeroed bin in input order, so every
+    element gets the same additions in the same order as ``np.add.at``.
     """
     upstream = np.asarray(upstream, dtype=float)
     output = encoding.output
@@ -329,23 +338,38 @@ def encode_backward(encoding: Encoding, upstream: np.ndarray) -> tuple[np.ndarra
     keep = np.ones(encoding.tokens.ids.shape, dtype=bool) if encoding.keep is None else encoding.keep
     rows, cols = np.nonzero(keep & live[:, None])
     ids, slot = np.unique(encoding.tokens.ids[rows, cols], return_inverse=True)
-    grads = np.zeros((ids.size, output.shape[1]))
-    np.add.at(grads, slot, per_token[rows])
-    return ids, grads
+    d = output.shape[1]
+    flat = (slot.reshape(-1, 1) * d + np.arange(d)).ravel()
+    grads = np.bincount(flat, weights=per_token[rows].ravel(), minlength=ids.size * d)
+    # with no tokens at all bincount returns integer zeros
+    return ids, grads.reshape(ids.size, d).astype(float, copy=False)
 
 
 # -- checkpoint io ----------------------------------------------------------
 
 
 def save_checkpoint(params: EncoderParams, path: str) -> None:
-    """Write a text checkpoint: header, hr rows, tail rows, temperature line."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"{CHECKPOINT_MAGIC} {params.buckets} {params.dim}\n")
-        for table in (params.hr_table, params.tail_table):
-            for row in table:
-                handle.write(" ".join(repr(float(v)) for v in row))
-                handle.write("\n")
-        handle.write(f"log_inv_tau {params.log_inv_tau!r}\n")
+    """Write a text checkpoint: header, hr rows, tail rows, temperature line.
+
+    The file is written as ``<path>.tmp`` and renamed over ``path`` when
+    complete, so a failed write leaves any earlier checkpoint at ``path``
+    as it was and removes its temp file.  There is no ``fsync``: the rename
+    guards against a crash of this process, not of the machine.
+    """
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(f"{CHECKPOINT_MAGIC} {params.buckets} {params.dim}\n")
+            for table in (params.hr_table, params.tail_table):
+                for row in table:
+                    handle.write(" ".join(repr(float(v)) for v in row))
+                    handle.write("\n")
+            handle.write(f"log_inv_tau {params.log_inv_tau!r}\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> EncoderParams:

@@ -12,8 +12,9 @@ so logs and checkpoints are bit-identical across runs at a fixed seed.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +30,7 @@ NEGATIVE_SOURCES = ("ib", "pb", "sn")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+DECAY_CELLS = 2**17  # table elements per weight-decay chunk; bounds its reused buffer
 
 
 @dataclass
@@ -158,7 +160,8 @@ def apply_update(
     only.  Every other row has m = v = 0, so its full-table step would be
     0 / (0 + eps) = 0 and leave it bitwise unchanged; every operation is
     elementwise, so each element gets the bits of the full-table update.
-    Weight decay and the finiteness check cover the whole table.
+    Weight decay and the finiteness check cover the whole table, in one
+    pass (``_decay``).
     """
     state.step += 1
     t = state.step
@@ -180,9 +183,8 @@ def apply_update(
             m[live], v[live] = m_live, v_live
             update = (m_live / bc1) / (np.sqrt(v_live / bc2) + ADAM_EPS)
             table[live] -= lr * update
-            if cfg.weight_decay:
-                table -= lr * cfg.weight_decay * table
-        if not np.isfinite(table).all():
+        finite = _decay(table, lr * cfg.weight_decay) if cfg.weight_decay else np.isfinite(table).all()
+        if not finite:
             raise NumericError(f"non-finite parameter value in {table_name}_table after update")
 
     state.m_tau = ADAM_BETA1 * state.m_tau + (1.0 - ADAM_BETA1) * grads.log_inv_tau
@@ -191,6 +193,29 @@ def apply_update(
     if not math.isfinite(params.log_inv_tau):
         raise NumericError("non-finite parameter value in log_inv_tau after update")
     return params, state
+
+
+def _decay(table: np.ndarray, factor: float) -> bool:
+    """``table -= factor * table`` in chunks of about ``DECAY_CELLS`` elements.
+
+    Each chunk is multiplied into one reused buffer, subtracted in place and
+    checked while it is still in cache.  These are the elementwise operations
+    of the whole-table expression, so every element gets its bits.  Every
+    chunk is decayed before the result is returned: True when every value of
+    the table is finite.
+    """
+    rows = max(1, DECAY_CELLS // table.shape[1])
+    buffer = np.empty((min(rows, table.shape[0]), table.shape[1]))
+    finite = True
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, table.shape[0], rows):
+            chunk = table[start : start + rows]
+            scaled = buffer[: chunk.shape[0]]
+            np.multiply(chunk, factor, out=scaled)
+            np.subtract(chunk, scaled, out=chunk)
+            if finite:
+                finite = bool(np.isfinite(chunk).all())
+    return finite
 
 
 @dataclass(frozen=True)
@@ -212,21 +237,54 @@ class TrainTokens:
         return TrainTokens(self.query[rows], self.tail[rows], self.head[rows])
 
 
+def _pad_rows(rows: Iterable[Sequence[int]], count: int) -> enc.TokenIds:
+    """``enc.TokenIds.pad`` of ``count`` token rows, read one row at a time.
+
+    Only the flat C-int tokens are kept as they come, never a list per row.
+    """
+    flat = array("i")
+    lengths = np.empty(count, dtype=np.int64)
+    for i, row in enumerate(rows):
+        flat.extend(row)
+        lengths[i] = len(row)
+    return enc.TokenIds.from_flat(np.frombuffer(flat, dtype=np.intc), lengths)
+
+
 def build_token_cache(g: KnowledgeGraph, cfg: TrainConfig, buckets: int) -> TrainTokens:
-    """Tokenize every train triple once; each distinct text is hashed once."""
-    texts = (
-        text
-        for h, r, t in g.triples("train")
-        for text in (
-            augment_description(g, h, exclude=t),
-            g.relation(r).description,
-            augment_description(g, t, exclude=h),
-        )
+    """Tokenize every train triple once.
+
+    Each distinct text is hashed and padded once, and each distinct (head
+    text, relation) query combined and padded once; the three matrices then
+    gather their rows by index, so no per-triple token list is ever built.
+    """
+    triples = g.triples("train")
+    number: dict[str, int] = {}  # distinct text -> its row among the padded texts
+    texts = np.fromiter(
+        (
+            number.setdefault(text, len(number))
+            for h, r, t in triples
+            for text in (
+                augment_description(g, h, exclude=t),
+                g.relation(r).description,
+                augment_description(g, t, exclude=h),
+            )
+        ),
+        dtype=np.int64,
+        count=3 * len(triples),
+    ).reshape(len(triples), 3)
+    padded = _pad_rows((enc.tokenize(text, buckets, cfg.max_tokens) for text in number), len(number))
+
+    def tokens_of(row: int) -> list[int]:
+        return padded.ids[row, : padded.lengths[row]].tolist()
+
+    pairs, query = np.unique(texts[:, 0] * len(number) + texts[:, 1], return_inverse=True)
+    heads, relations = np.divmod(pairs, len(number))
+    combined = (
+        enc.combine_query_tokens(tokens_of(h), tokens_of(r), buckets, cfg.max_tokens)
+        for h, r in zip(heads.tolist(), relations.tolist())
     )
-    tokens = enc.tokenize_texts(texts, buckets, cfg.max_tokens)
-    heads, relations, tails = tokens[0::3], tokens[1::3], tokens[2::3]
-    queries = [enc.combine_query_tokens(h, r, buckets, cfg.max_tokens) for h, r in zip(heads, relations)]
-    return TrainTokens(enc.TokenIds.pad(queries), enc.TokenIds.pad(tails), enc.TokenIds.pad(heads))
+    queries = _pad_rows(combined, pairs.size)[query]
+    return TrainTokens(queries, padded[texts[:, 2]], padded[texts[:, 0]])
 
 
 def run_batch(

@@ -56,6 +56,26 @@ def tiny_params(buckets=16, dim=8, seed=0, initial_temperature=0.05):
     return EncoderParams.initialize(buckets, dim, named_stream(seed, "init"), initial_temperature)
 
 
+def reference_encode_backward(encoding, upstream):
+    """Reference ``encoder.encode_backward``: the shares scattered by ``np.add.at``.
+
+    ``np.add.at`` adds the shares one token at a time, in row order and
+    then text order; the encoder's scatter must match it bit for bit.
+    """
+    upstream = np.asarray(upstream, dtype=float)
+    output = encoding.output
+    live = ~encoding.degenerate
+    radial = np.matmul(upstream[:, None, :], output[:, :, None])[:, 0, 0]
+    grad_pre = (upstream - radial[:, None] * output) / np.where(live, encoding.norm, 1.0)[:, None]
+    per_token = grad_pre * (encoding.scale / np.maximum(encoding.tokens.lengths, 1))[:, None]
+    keep = np.ones(encoding.tokens.ids.shape, dtype=bool) if encoding.keep is None else encoding.keep
+    rows, cols = np.nonzero(keep & live[:, None])
+    ids, slot = np.unique(encoding.tokens.ids[rows, cols], return_inverse=True)
+    grads = np.zeros((ids.size, output.shape[1]))
+    np.add.at(grads, slot, per_token[rows])
+    return ids, grads
+
+
 def dense_apply_update(params, state, grads, lr, cfg):
     """Reference AdamW step over every row of both tables.
 

@@ -25,7 +25,7 @@ from textkgc.encoder import (
 from textkgc.errors import CheckpointError, KgcError, NumericError, UnknownIdError
 from textkgc.randomness import fnv1a_64, named_stream
 
-from conftest import tiny_params
+from conftest import reference_encode_backward, tiny_params
 
 
 def encode_tail(params, tokens, dropout=0.0, rng=None):
@@ -393,6 +393,56 @@ def test_rows_encode_bitwise_alike_alone_and_in_any_batch(rng):
         assert joined.tobytes() == np.vstack([alone[:10], alone[25:]]).tobytes()
 
 
+# -- the scatter against np.add.at -------------------------------------------
+
+
+def assert_backward_matches_add_at(encoding, upstream):
+    ids, grads = encode_backward(encoding, upstream)
+    ref_ids, ref_grads = reference_encode_backward(encoding, upstream)
+    assert ids.tobytes() == ref_ids.tobytes()
+    assert grads.dtype == ref_grads.dtype and grads.shape == ref_grads.shape
+    assert grads.tobytes() == ref_grads.tobytes()
+    return ids, grads
+
+
+def test_backward_scatter_matches_add_at_bitwise(rng):
+    p = tiny_params(buckets=12, dim=5, seed=8)
+    sep = separator_index(p.buckets)
+    cases = {
+        "repeat in a row": [[3, 3, 7, 3], [1, 2]],
+        "separator in every row": [
+            combine_query_tokens(h, r, p.buckets) for h, r in ([[1, 2], [4]], [[2], [4]], [[], [5, 1]])
+        ],
+        "degenerate and empty rows": [[], [4, 4], [], [6]],
+        "all empty": [[], []],
+    }
+    assert all(sep in row for row in cases["separator in every row"])
+    for name, texts in cases.items():
+        for dropout in (0.0, 0.5):
+            for forward in (forward_hr, forward_tail):
+                drng = np.random.default_rng(3) if dropout else None
+                encoding = forward(p, TokenIds.pad(texts), dropout, drng)
+                upstream = rng.normal(size=encoding.output.shape) * 10.0 ** rng.integers(-8, 9)
+                upstream[:, 1] = -0.0  # signed zeros upstream
+                assert_backward_matches_add_at(encoding, upstream)
+    empty = forward_tail(p, TokenIds.pad([[], []]))
+    ids, grads = assert_backward_matches_add_at(empty, np.ones((2, 5)))
+    assert ids.size == 0 and grads.shape == (0, 5)
+
+
+def test_backward_scatter_adds_shares_in_row_order():
+    # three one-token rows on one bucket, each with pooled output e0, so the
+    # shares reach the bucket unrounded: 1.0, 1e16 and -1e16 in column 1
+    p = tiny_params(buckets=8, dim=2)
+    p.tail_table[5] = [1.0, 0.0]
+    encoding = forward_tail(p, TokenIds.pad([[5], [5], [5]]))
+    upstream = np.array([[0.0, 1.0], [0.0, 1e16], [-0.0, -1e16]])
+    ids, grads = assert_backward_matches_add_at(encoding, upstream)
+    assert ids.tolist() == [5]
+    assert grads[0, 1] == (1.0 + 1e16) + -1e16 == 0.0
+    assert 1.0 + (1e16 + -1e16) == 1.0  # another order gives other bits
+
+
 def test_gradient_buffer_norm_scale_and_finite_check():
     buf = GradientBuffer(np.array([1]), np.array([[3.0, 0.0]]), np.array([2]), np.array([[0.0, 4.0]]))
     assert buf.global_norm() == pytest.approx(5.0)
@@ -421,6 +471,24 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.log_inv_tau == p.log_inv_tau
     save_checkpoint(loaded, str(tmp_path / "ck2.tsv"))
     assert (tmp_path / "ck.tsv").read_bytes() == (tmp_path / "ck2.tsv").read_bytes()
+
+
+def test_checkpoint_failed_write_keeps_the_old_file(tmp_path):
+    path = tmp_path / "ck.tsv"
+    save_checkpoint(tiny_params(buckets=6, dim=3, seed=1), str(path))
+    before = path.read_bytes()
+
+    class DiskFull:
+        def __float__(self):
+            raise OSError("No space left on device")
+
+    p = tiny_params(buckets=6, dim=3, seed=2)
+    p.tail_table = p.tail_table.astype(object)
+    p.tail_table[4, 1] = DiskFull()  # the write fails after the hr table
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(p, str(path))
+    assert path.read_bytes() == before
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["ck.tsv"]
 
 
 def test_checkpoint_header_layout(tmp_path):

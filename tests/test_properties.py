@@ -1,7 +1,8 @@
 """Property tests: the whole-array candidate mask, top-k selection and
 chunked ranking against per-cell and sort-based references kept here, the
-touched-row optimizer update against the dense one in conftest, and the
-loaders fed corrupted files."""
+encoder's backward scatter and the touched-row optimizer update against the
+``np.add.at`` and dense references in conftest, and the loaders fed
+corrupted files."""
 
 import re
 
@@ -20,7 +21,9 @@ from textkgc.encoder import (
     PrecomputedEntityEncoder,
     TokenIds,
     combine_query_tokens,
+    encode_backward,
     forward_hr,
+    forward_tail,
     load_checkpoint,
     save_checkpoint,
     tokenize,
@@ -37,7 +40,14 @@ from textkgc.evaluation import (
 from textkgc.graph import SPLITS, Triple, augment_description, k_hop_neighbors, load_graph
 from textkgc.training import OptimizerState, TrainConfig, apply_update
 
-from conftest import dense_apply_update, make_graph, optimizer_bytes, tiny_params, write_dataset
+from conftest import (
+    dense_apply_update,
+    make_graph,
+    optimizer_bytes,
+    reference_encode_backward,
+    tiny_params,
+    write_dataset,
+)
 
 
 def _batch_for(rows, dim=4, seed=0):
@@ -203,6 +213,32 @@ def test_query_vector_batch_matches_each_query_alone(pairs, chunk):
         )
         direct = forward_hr(params, TokenIds.pad([tokens])).output[0]
         assert row.tobytes() == alone.tobytes() == direct.tobytes()
+
+
+# -- the encoder's backward scatter ----------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    texts=st.lists(st.lists(st.integers(0, 6), max_size=9), min_size=1, max_size=8),
+    dim=st.integers(1, 6),
+    dropout=st.sampled_from([0.0, 0.3, 0.9]),
+    exponents=st.lists(st.integers(-20, 20), min_size=1, max_size=8),
+    seed=st.integers(0, 2**16),
+)
+def test_backward_scatter_matches_add_at(texts, dim, dropout, exponents, seed):
+    rng = np.random.default_rng(seed)
+    params = tiny_params(buckets=8, dim=dim, seed=seed)
+    for forward in (forward_hr, forward_tail):
+        drng = np.random.default_rng(seed) if dropout else None
+        encoding = forward(params, TokenIds.pad(texts), dropout, drng)
+        scales = 10.0 ** np.resize(np.array(exponents, dtype=float), len(texts))
+        upstream = rng.normal(size=(len(texts), dim)) * scales[:, None]
+        upstream[rng.random(upstream.shape) < 0.1] = -0.0
+        ids, grads = encode_backward(encoding, upstream)
+        ref_ids, ref_grads = reference_encode_backward(encoding, upstream)
+        assert ids.tobytes() == ref_ids.tobytes()
+        assert grads.shape == ref_grads.shape and grads.tobytes() == ref_grads.tobytes()
 
 
 # -- the touched-row optimizer update ------------------------------------------

@@ -256,6 +256,43 @@ def test_update_matches_dense_reference_bitwise(weight_decay):
     assert clipped == 1
 
 
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+@pytest.mark.parametrize("chunk_rows", [1, 3, 15, 17])  # 1, 3, buckets - 1 and buckets + 1 rows
+def test_chunked_decay_matches_dense_reference_bitwise(monkeypatch, chunk_rows, weight_decay):
+    buckets, dim = 16, 3
+    monkeypatch.setattr(tr, "DECAY_CELLS", chunk_rows * dim)
+    params = tiny_params(buckets=buckets, dim=dim, seed=4)
+    params.tail_table[15, 0] = -0.0  # last row, first touched at the last step
+    ref_params = params.copy()
+    state, ref_state = OptimizerState.zeros(buckets, dim), OptimizerState.zeros(buckets, dim)
+    cfg = small_config(weight_decay=weight_decay)
+    rng = np.random.default_rng(chunk_rows)
+    for step, (hr_ids, tail_ids) in enumerate([([0, 14], [3]), ([], []), ([15], [0, 9]), ([2], [15])]):
+        buf = _random_buffer(rng, hr_ids, tail_ids, dim)
+        apply_update(params, state, buf, 0.05, cfg)
+        dense_apply_update(ref_params, ref_state, buf, 0.05, cfg)
+        assert optimizer_bytes(params, state) == optimizer_bytes(ref_params, ref_state), step
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+@pytest.mark.parametrize("bad_row", [15, 1])  # the last chunk, alone; the first chunk
+def test_update_detects_non_finite_value_in_any_chunk(monkeypatch, weight_decay, bad_row):
+    buckets, dim = 16, 2
+    monkeypatch.setattr(tr, "DECAY_CELLS", 3 * dim)
+    params = tiny_params(buckets=buckets, dim=dim)
+    params.tail_table[bad_row, 1] = np.inf  # a row no gradient ever touches
+    ref_params = params.copy()
+    state, ref_state = OptimizerState.zeros(buckets, dim), OptimizerState.zeros(buckets, dim)
+    buf = _buffer(hr=[(0, [1.0, -1.0])], tail=[(2, [0.5, 0.5])], dim=dim)
+    cfg = small_config(weight_decay=weight_decay)
+    with pytest.raises(NumericError, match="tail_table"):
+        apply_update(params, state, buf, lr=0.1, cfg=cfg)
+    with pytest.raises(NumericError, match="tail_table"):
+        dense_apply_update(ref_params, ref_state, buf, lr=0.1, cfg=cfg)
+    # every chunk was decayed before the raise, as the whole-table step does
+    assert optimizer_bytes(params, state) == optimizer_bytes(ref_params, ref_state)
+
+
 def test_update_steps_only_touched_rows_and_keeps_the_rest_exact():
     buckets, dim = 16, 3
     params = tiny_params(buckets=buckets, dim=dim, seed=5)
@@ -349,6 +386,30 @@ def test_token_cache_holds_one_padded_matrix_per_role(monkeypatch):
         assert row(cache.head, i) == head
     picked = cache[np.array([3, 0])]
     assert row(picked.tail, 0) == row(cache.tail, 3) and row(picked.tail, 1) == row(cache.tail, 0)
+
+
+def _per_triple_token_cache(g, cfg, buckets):
+    """The token cache built from one token list per triple and role, padded at the end."""
+    heads, relations, tails = [], [], []
+    for h, r, t in g.triples("train"):
+        heads.append(enc.tokenize(augment_description(g, h, exclude=t), buckets, cfg.max_tokens))
+        relations.append(enc.tokenize(g.relation(r).description, buckets, cfg.max_tokens))
+        tails.append(enc.tokenize(augment_description(g, t, exclude=h), buckets, cfg.max_tokens))
+    queries = [enc.combine_query_tokens(h, r, buckets, cfg.max_tokens) for h, r in zip(heads, relations)]
+    return enc.TokenIds.pad(queries), enc.TokenIds.pad(tails), enc.TokenIds.pad(heads)
+
+
+@pytest.mark.parametrize("max_tokens", [3, 6, 50])
+def test_token_cache_is_byte_identical_to_per_triple_padding(max_tokens):
+    cfg = small_config(max_tokens=max_tokens)
+    for g, buckets in ((chain_graph(5), 64), (synth.pattern_graph(), 512)):
+        cache = build_token_cache(g, cfg, buckets)
+        reference = _per_triple_token_cache(g, cfg, buckets)
+        for got, want in zip((cache.query, cache.tail, cache.head), reference):
+            assert got.ids.dtype == want.ids.dtype and got.ids.shape == want.ids.shape
+            assert got.ids.tobytes() == want.ids.tobytes()
+            assert got.lengths.dtype == want.lengths.dtype
+            assert got.lengths.tobytes() == want.lengths.tobytes()
 
 
 # -- run_batch ---------------------------------------------------------------
