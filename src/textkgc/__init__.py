@@ -23,7 +23,6 @@ from .encoder import (
     EncoderParams,
     Encoding,
     GradientBuffer,
-    PrecomputedEntityEncoder,
     TokenIds,
     encode_backward,
     forward_hr,
@@ -41,9 +40,9 @@ from .evaluation import (
     breakdown_by_category,
     build_index,
     evaluate,
-    index_from_precomputed,
     predict_topk,
     rank_one,
+    read_embeddings,
     rerank_scores,
     write_embeddings,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "OptimizerState",
     "ParseError",
     "PreBatchQueue",
-    "PrecomputedEntityEncoder",
     "RankingResult",
     "Relation",
     "RerankConfig",
@@ -101,7 +99,6 @@ __all__ = [
     "fnv1a_64",
     "forward_hr",
     "forward_tail",
-    "index_from_precomputed",
     "infonce_loss",
     "is_known_triple",
     "k_hop_neighbors",
@@ -114,6 +111,7 @@ __all__ = [
     "named_stream",
     "predict_topk",
     "rank_one",
+    "read_embeddings",
     "rerank_scores",
     "run_batch",
     "save_checkpoint",

@@ -280,12 +280,10 @@ def cmd_evaluate(cfg: dict) -> int:
     g = _load_augmented(cfg)
     params = enc.load_checkpoint(cfg["checkpoint"])
     if cfg["precomputed_embeddings"]:
-        plugin = enc.PrecomputedEntityEncoder.load(cfg["precomputed_embeddings"])
-        if plugin.dim != params.dim:
-            raise KgcError(
-                f"precomputed dimension {plugin.dim} does not match checkpoint dimension {params.dim}"
-            )
-        idx = ev.index_from_precomputed(g, plugin)
+        idx = ev.read_embeddings(g, cfg["precomputed_embeddings"])
+        dim = idx.matrix.shape[1]
+        if dim != params.dim:
+            raise KgcError(f"precomputed dimension {dim} does not match checkpoint dimension {params.dim}")
     else:
         idx = ev.build_index(g, params, cfg["max_tokens"])
     result = ev.evaluate(g, idx, params, cfg["split"], _rerank_config(cfg), cfg["max_tokens"])

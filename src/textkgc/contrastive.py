@@ -17,6 +17,7 @@ All losses return exact analytic gradients with respect to the score matrix
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -45,10 +46,10 @@ class LossConfig:
     pre_batch_weight: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.additive_margin < 0:
-            raise KgcError(f"additive margin must be >= 0, got {self.additive_margin}")
-        if self.hinge_margin <= 0:
-            raise KgcError(f"hinge margin must be > 0, got {self.hinge_margin}")
+        if not 0 <= self.additive_margin < math.inf:  # every comparison with nan is False
+            raise KgcError(f"additive margin must be a finite number >= 0, got {self.additive_margin}")
+        if not 0 < self.hinge_margin < math.inf:
+            raise KgcError(f"hinge margin must be a finite number > 0, got {self.hinge_margin}")
         if not 0 < self.pre_batch_weight <= 1:
             raise KgcError(f"pre-batch weight must be in (0, 1], got {self.pre_batch_weight}")
 

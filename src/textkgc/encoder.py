@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import CheckpointError, KgcError, NumericError, UnknownIdError, undecodable_line
+from .errors import CheckpointError, KgcError, NumericError, undecodable_line
 from .randomness import fnv1a_64
 
 DEFAULT_BUCKETS = 30_000
@@ -430,63 +430,3 @@ def _read_checkpoint(path: str) -> EncoderParams:
         if handle.readline():
             raise CheckpointError(f"{path}:{lineno + 1}: trailing data after temperature line")
     return EncoderParams(tables[0], tables[1], log_inv_tau)
-
-
-class PrecomputedEntityEncoder:
-    """Entity-vector plugin backed by an exported embedding file.
-
-    Any source of unit vectors keyed by entity id can stand in for the
-    trained tail encoder on the evaluation side; this one reads the format
-    written by export (``entity_id<TAB>v1 v2 ... vd``).
-    """
-
-    def __init__(self, vectors: dict[str, np.ndarray], dim: int):
-        self._vectors = vectors
-        self.dim = dim
-
-    @classmethod
-    def load(cls, path: str) -> "PrecomputedEntityEncoder":
-        vectors: dict[str, np.ndarray] = {}
-        dim: Optional[int] = None
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                for lineno, raw in enumerate(handle, start=1):
-                    line = raw.rstrip("\n")
-                    if not line:
-                        continue
-                    parts = line.split("\t")
-                    if len(parts) != 2:
-                        raise CheckpointError(f"{path}:{lineno}: expected 'id<TAB>values'")
-                    ident, values = parts
-                    try:
-                        vec = np.array([float(v) for v in values.split()])
-                    except ValueError:
-                        raise CheckpointError(f"{path}:{lineno}: unparseable float") from None
-                    if dim is None:
-                        dim = vec.size
-                    elif vec.size != dim:
-                        raise CheckpointError(
-                            f"{path}:{lineno}: dimension {vec.size} differs from first row ({dim})"
-                        )
-                    if not abs(float(np.linalg.norm(vec)) - 1.0) <= 1e-6:  # also true for nan
-                        raise CheckpointError(
-                            f"{path}:{lineno}: vector for {ident!r} is not a finite unit vector"
-                        )
-                    if ident in vectors:
-                        raise CheckpointError(f"{path}:{lineno}: duplicate entity id {ident!r}")
-                    vectors[ident] = vec
-            except UnicodeDecodeError:
-                raise CheckpointError(f"{path}:{undecodable_line(path)}: not valid UTF-8") from None
-        if dim is None:
-            raise CheckpointError(f"{path}:1: no vectors found")
-        return cls(vectors, dim)
-
-    def entity_vector(self, entity_id: str) -> np.ndarray:
-        try:
-            return self._vectors[entity_id]
-        except KeyError:
-            raise UnknownIdError(f"no precomputed vector for entity {entity_id!r}") from None
-
-    @property
-    def ids(self) -> list[str]:
-        return list(self._vectors)

@@ -10,14 +10,14 @@ is ranked in chunks of queries, each scored against every entity at once.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import encoder as enc
-from .errors import KgcError, UnknownIdError
+from .errors import CheckpointError, KgcError, UnknownIdError, undecodable_line
 from .graph import KnowledgeGraph, Triple, augment_description, k_hop_neighbors
 
 TAIL_DIRECTION = "tail"
@@ -38,8 +38,8 @@ class RerankConfig:
     hops: int = 2
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise KgcError(f"re-rank boost must be >= 0, got {self.alpha}")
+        if not 0 <= self.alpha < math.inf:  # every comparison with nan is False
+            raise KgcError(f"re-rank boost must be a finite number >= 0, got {self.alpha}")
         if self.hops < 1:
             raise KgcError(f"hop radius must be >= 1, got {self.hops}")
 
@@ -59,13 +59,6 @@ class EntityEmbeddingIndex:
         if any(a >= b for a, b in zip(self.entity_ids, self.entity_ids[1:])):
             raise KgcError("index entity ids must be strictly increasing")
 
-    def row(self, entity_id: str) -> int:
-        """The row of an entity id, found by binary search over the sorted ids."""
-        row = bisect_left(self.entity_ids, entity_id)
-        if row == len(self.entity_ids) or self.entity_ids[row] != entity_id:
-            raise UnknownIdError(f"unknown entity id: {entity_id!r}")
-        return row
-
 
 def build_index(
     g: KnowledgeGraph,
@@ -73,7 +66,7 @@ def build_index(
     max_tokens: int = enc.DEFAULT_MAX_TOKENS,
 ) -> EntityEmbeddingIndex:
     """Encode every entity's augmented description once, in eval mode."""
-    ids = sorted(g.entities)
+    ids = list(g.entity_ids)
     if not ids:
         raise KgcError("graph has no entities to index")
     matrix = np.empty((len(ids), params.dim))
@@ -82,17 +75,6 @@ def build_index(
         texts = enc.tokenize_texts([augment_description(g, e) for e in chunk], params.buckets, max_tokens)
         matrix[start : start + len(chunk)] = enc.forward_tail(params, enc.TokenIds.pad(texts)).output
     return EntityEmbeddingIndex(ids, matrix, forward_passes=len(ids))
-
-
-def index_from_precomputed(
-    g: KnowledgeGraph, plugin: enc.PrecomputedEntityEncoder
-) -> EntityEmbeddingIndex:
-    """Build the index from externally supplied vectors; costs no encoder passes."""
-    ids = sorted(g.entities)
-    if not ids:
-        raise KgcError("graph has no entities to index")
-    rows = [plugin.entity_vector(e) for e in ids]
-    return EntityEmbeddingIndex(ids, np.stack(rows), forward_passes=0)
 
 
 def query_vector(
@@ -117,16 +99,10 @@ def query_vector(
     ])
 
 
-def rerank_scores(
-    idx: EntityEmbeddingIndex,
-    scores: np.ndarray,
-    neighbors: Iterable[str],
-    alpha: float,
-) -> np.ndarray:
-    """Return a copy of ``scores`` with ``alpha`` added at each neighbor's row."""
+def rerank_scores(scores: np.ndarray, rows: np.ndarray, alpha: float) -> np.ndarray:
+    """Return a copy of ``scores`` with ``alpha`` added once at each of the distinct ``rows``."""
     out = scores.copy()
-    for entity_id in neighbors:
-        out[idx.row(entity_id)] += alpha
+    out[rows] += alpha
     return out
 
 
@@ -145,9 +121,7 @@ def _candidate_scores(
     scores = np.einsum("qj,ij->qi", queries, idx.matrix)
     if rerank is not None and rerank.alpha != 0.0:
         for row, head in enumerate(heads):
-            hood = k_hop_neighbors(g, head, rerank.hops)
-            if hood:
-                scores[row] = rerank_scores(idx, scores[row], hood, rerank.alpha)
+            scores[row] = rerank_scores(scores[row], k_hop_neighbors(g, head, rerank.hops), rerank.alpha)
     return scores
 
 
@@ -159,12 +133,12 @@ def _rank_chunk(
     rerank: Optional[RerankConfig],
 ) -> np.ndarray:
     """The ``rank_one`` rank of each triple, given its query vector as a row of ``queries``."""
-    targets = np.array([idx.row(t) for _, _, t in triples], dtype=np.int64)
+    targets = g.entity_numbers([g.entity(t).id for _, _, t in triples])  # raises for an undeclared target
     scores = _candidate_scores(g, idx, [h for h, _, _ in triples], queries, rerank)
     rows = np.arange(len(triples))
     kept = np.ones(scores.shape, dtype=bool)
     for row, (h, r, _) in enumerate(triples):
-        kept[row, g.known_tail_numbers(h, r)] = False  # index rows are entity numbers
+        kept[row, g.known_tail_numbers(h, r)] = False
     kept[rows, targets] = True
     target_scores = scores[rows, targets][:, None]
     greater = np.count_nonzero(kept & (scores > target_scores), axis=1)
@@ -315,7 +289,7 @@ def predict_topk(
     # row order; rows are in id order, so a stable sort breaks ties by id
     shortlist = np.flatnonzero(scores >= np.partition(scores, scores.size - k)[scores.size - k])
     order = shortlist[np.argsort(-scores[shortlist], kind="stable")[:k]]
-    known = set(g.known_tail_numbers(head, relation).tolist())  # index rows are entity numbers
+    known = set(g.known_tail_numbers(head, relation).tolist())
     return [(idx.entity_ids[i], float(scores[i]), i in known) for i in order.tolist()]
 
 
@@ -324,3 +298,52 @@ def write_embeddings(idx: EntityEmbeddingIndex, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for entity_id, row in zip(idx.entity_ids, idx.matrix):
             fh.write(entity_id + "\t" + " ".join(repr(float(v)) for v in row) + "\n")
+
+
+def read_embeddings(g: KnowledgeGraph, path: str) -> EntityEmbeddingIndex:
+    """The index of the vectors in a ``write_embeddings`` file; costs no encoder passes.
+
+    Each line holds a finite unit vector for a distinct id, all of one
+    dimension; every entity of the graph needs a vector, and vectors of
+    other ids are ignored.
+    """
+    vectors: dict[str, np.ndarray] = {}
+    dim: Optional[int] = None
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            for lineno, raw in enumerate(handle, start=1):
+                line = raw.rstrip("\n")
+                if not line:
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 2:
+                    raise CheckpointError(f"{path}:{lineno}: expected 'id<TAB>values'")
+                ident, values = parts
+                try:
+                    vec = np.array([float(v) for v in values.split()])
+                except ValueError:
+                    raise CheckpointError(f"{path}:{lineno}: unparseable float") from None
+                if dim is None:
+                    dim = vec.size
+                elif vec.size != dim:
+                    raise CheckpointError(
+                        f"{path}:{lineno}: dimension {vec.size} differs from first row ({dim})"
+                    )
+                if not abs(float(np.linalg.norm(vec)) - 1.0) <= 1e-6:  # also true for nan
+                    raise CheckpointError(
+                        f"{path}:{lineno}: vector for {ident!r} is not a finite unit vector"
+                    )
+                if ident in vectors:
+                    raise CheckpointError(f"{path}:{lineno}: duplicate entity id {ident!r}")
+                vectors[ident] = vec
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}:{undecodable_line(path)}: not valid UTF-8") from None
+    if dim is None:
+        raise CheckpointError(f"{path}:1: no vectors found")
+    ids = list(g.entity_ids)
+    if not ids:
+        raise KgcError("graph has no entities to index")
+    missing = [e for e in ids if e not in vectors]
+    if missing:
+        raise UnknownIdError(f"no precomputed vector for entity {missing[0]!r}")
+    return EntityEmbeddingIndex(ids, np.stack([vectors[e] for e in ids]), forward_passes=0)

@@ -3,9 +3,10 @@
 A graph is built from three triple files (``head<TAB>relation<TAB>tail``,
 one triple per line) and two description files (``id<TAB>name<TAB>description``,
 the description column may be empty).  All ids referenced by triples must be
-declared in the description files.  Construction builds an undirected
-neighbor map over the train split and one sorted array of known-triple keys
-over train+valid+test, which filtered evaluation and false-negative masking
+declared in the description files.  The graph numbers its entities in
+sorted-id order; construction builds, over those numbers, one sorted array
+of undirected train edge keys and one of known-triple keys over
+train+valid+test, which filtered evaluation and false-negative masking
 query.
 """
 
@@ -59,7 +60,9 @@ class KnowledgeGraph:
 
     Indexes built at construction:
 
-    * undirected train neighbors (used for k-hop walks and text augmentation)
+    * the undirected train adjacency (for k-hop walks and text
+      augmentation), built as one sorted int64 array of edge keys
+      ``h * E + t`` in both directions and kept as each h's run of t
     * the known triples of all splits, as one sorted int64 array of keys
       ``(h * R + r) * E + t``, where h and t number the entities and r the
       relations in sorted-id order and E and R count them; ``known``,
@@ -90,7 +93,8 @@ class KnowledgeGraph:
             more = f" (+{len(unknown) - 20} more)" if len(unknown) > 20 else ""
             raise UnknownIdError(f"triples reference undeclared ids: {shown}{more}")
 
-        self._entity_number = ent = {e: i for i, e in enumerate(sorted(self._entities))}
+        self.entity_ids = tuple(sorted(self._entities))
+        self._entity_number = ent = {e: i for i, e in enumerate(self.entity_ids)}
         self._relation_number = rel = {r: i for i, r in enumerate(sorted(self._relations))}
         E, R = len(ent), len(rel)
         report = dict(load_report) if load_report else {}
@@ -108,10 +112,11 @@ class KnowledgeGraph:
         # a triple that sits in more than one split
         self._triple_keys, seen_in = np.unique(np.concatenate(split_keys), return_counts=True)
 
-        self._neighbors: dict[str, set[str]] = {}
-        for h, _, t in self._splits["train"]:
-            self._neighbors.setdefault(h, set()).add(t)
-            self._neighbors.setdefault(t, set()).add(h)
+        heads, tails = split_keys[0] // (R * E), split_keys[0] % E
+        edges = np.unique(np.concatenate([heads * E + tails, tails * E + heads]))
+        self._adjacency_starts = edges.searchsorted(np.arange(E + 1) * E)
+        self._adjacency = edges % E  # kept as numbers: a per-call subtraction costs more than the slice
+        self._adjacency.setflags(write=False)  # neighbor_numbers hands out views
 
         report.update(
             splits={split: len(self._splits[split]) for split in SPLITS},
@@ -149,10 +154,13 @@ class KnowledgeGraph:
             raise KgcError(f"unknown split: {split!r}")
         return self._splits[split]
 
-    def neighbors(self, entity_id: str) -> frozenset[str]:
-        """Undirected train-graph neighbors of an entity."""
+    def neighbor_numbers(self, entity_id: str) -> np.ndarray:
+        """The ``entity_numbers`` of the entity's undirected train-graph
+        neighbors, increasing; the entity itself is one only through a
+        reflexive train triple."""
         self.entity(entity_id)
-        return frozenset(self._neighbors.get(entity_id, ()))
+        n = self._entity_number[entity_id]
+        return self._adjacency[self._adjacency_starts[n] : self._adjacency_starts[n + 1]]
 
     def entity_numbers(self, ids: Sequence[str]) -> np.ndarray:
         """Each entity's position in sorted-id order; each distinct undeclared
@@ -327,26 +335,22 @@ def add_inverse_triples(g: KnowledgeGraph) -> KnowledgeGraph:
     )
 
 
-def k_hop_neighbors(g: KnowledgeGraph, entity_id: str, k: int) -> frozenset[str]:
-    """Entities reachable within k undirected train-graph hops, excluding self."""
+def k_hop_neighbors(g: KnowledgeGraph, entity_id: str, k: int) -> np.ndarray:
+    """The ``entity_numbers`` of the entities within k undirected train-graph
+    hops, excluding self, increasing."""
     if k < 1:
         raise KgcError(f"hop count must be >= 1, got {k}")
     g.entity(entity_id)
-    seen = {entity_id}
-    frontier = {entity_id}
-    reached: set[str] = set()
+    adjacency, starts = g._adjacency, g._adjacency_starts
+    origin = g._entity_number[entity_id]
+    seen, frontier = {origin}, {origin}
     for _ in range(k):
-        nxt: set[str] = set()
-        for node in frontier:
-            for neighbor in g._neighbors.get(node, ()):
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    nxt.add(neighbor)
-        reached |= nxt
-        if not nxt:
+        frontier = {m for n in frontier for m in adjacency[starts[n] : starts[n + 1]].tolist()} - seen
+        if not frontier:
             break
-        frontier = nxt
-    return frozenset(reached)
+        seen |= frontier
+    seen.discard(origin)
+    return np.array(sorted(seen), dtype=np.int64)
 
 
 def classify_relation(
@@ -397,14 +401,9 @@ def augment_description(
     base = ent.description.strip() or ent.name
     if len(base.split()) >= short_threshold:
         return base
-    neighbor_ids = set(g.neighbors(entity_id))
-    neighbor_ids.discard(entity_id)
-    if exclude is not None:
-        neighbor_ids.discard(exclude)
-    if not neighbor_ids:
-        return base
-    names = [g.entity(n).name for n in sorted(neighbor_ids)]
-    return base + " " + " ".join(names)
+    neighbors = [g.entity_ids[n] for n in g.neighbor_numbers(entity_id).tolist()]
+    names = [g.entities[n].name for n in neighbors if n != entity_id and n != exclude]
+    return " ".join([base, *names])
 
 
 def is_known_triple(g: KnowledgeGraph, triple: Triple) -> bool:

@@ -64,20 +64,22 @@ class TrainConfig:
             raise KgcError("pre-batch negatives require pre_batches >= 1")
         if self.loss_kind not in LOSS_KINDS:
             raise KgcError(f"loss kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
-        if self.batch_size < 2 and "ib" in self.negatives:
-            raise KgcError("batch size must be >= 2 when in-batch negatives are enabled")
-        if self.batch_size < 1:
-            raise KgcError(f"batch size must be >= 1, got {self.batch_size}")
+        if self.batch_size < 2:  # a batch of one row is never trained
+            raise KgcError(f"batch size must be >= 2, got {self.batch_size}")
         if self.epochs < 1:
             raise KgcError(f"epochs must be >= 1, got {self.epochs}")
-        if self.peak_lr <= 0:
-            raise KgcError(f"peak learning rate must be > 0, got {self.peak_lr}")
+        if not 0 < self.peak_lr < math.inf:  # every comparison with nan is False
+            raise KgcError(f"peak learning rate must be a finite number > 0, got {self.peak_lr}")
         if self.warmup_steps < 0:
             raise KgcError(f"warmup steps must be >= 0, got {self.warmup_steps}")
-        if self.grad_clip <= 0:
-            raise KgcError(f"gradient clip must be > 0, got {self.grad_clip}")
-        if self.weight_decay < 0:
-            raise KgcError(f"weight decay must be >= 0, got {self.weight_decay}")
+        if not 0 < self.grad_clip < math.inf:
+            raise KgcError(f"gradient clip must be a finite number > 0, got {self.grad_clip}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise KgcError(f"weight decay must be a finite number >= 0, got {self.weight_decay}")
+        if not 0 < self.margin_tau_temperature < math.inf:
+            raise KgcError(
+                f"margin_tau temperature must be a finite number > 0, got {self.margin_tau_temperature}"
+            )
         if not 0.0 <= self.dropout < 1.0:
             raise KgcError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.pre_batches < 0:
@@ -381,10 +383,7 @@ def train(
     negative_rng = named_stream(cfg.seed, "negatives")
 
     tokens = build_token_cache(g, cfg, params.buckets)
-    steps_per_epoch = _steps_per_epoch(n, cfg.batch_size)
-    if steps_per_epoch == 0:
-        raise KgcError("batch size leaves no trainable batches")
-    total_steps = steps_per_epoch * cfg.epochs
+    total_steps = _steps_per_epoch(n, cfg.batch_size) * cfg.epochs
 
     use_pb = "pb" in cfg.negatives
     queue = ct.PreBatchQueue(cfg.pre_batches * cfg.batch_size if use_pb else 0)

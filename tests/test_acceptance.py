@@ -385,8 +385,8 @@ def test_criterion_03_rank_oracle():
             numbered = sorted(g.entities)  # known_tail_numbers counts in sorted-id order
             for e in (numbered[n] for n in g.known_tail_numbers(triple.head, triple.relation).tolist()):
                 if e != triple.tail:
-                    drop[idx.row(e)] = True
-            want = _oracle_rank(scores, drop, idx.row(triple.tail))
+                    drop[idx.entity_ids.index(e)] = True
+            want = _oracle_rank(scores, drop, idx.entity_ids.index(triple.tail))
             assert got == want, (triple, got, want)
             checked += 1
     elapsed = time.monotonic() - started
@@ -461,9 +461,9 @@ def test_criterion_07_rerank_exactness():
     for head in (ents[0], ents[1], ents[17], ents[4]):
         base = idx.matrix @ query_vector(g, params, [(head, "r")])[0]
         hood = k_hop_neighbors(g, head, 2)
-        boosted = rerank_scores(idx, base, hood, 0.05)
+        boosted = rerank_scores(base, hood, 0.05)
         changed = np.nonzero(boosted != base)[0]
-        hood_rows = sorted(idx.row(e) for e in hood)
+        hood_rows = sorted(idx.entity_ids.index(g.entity_ids[n]) for n in hood.tolist())
         bump_ok &= changed.tolist() == hood_rows
         bump_ok &= bool(np.all(np.abs((boosted - base)[changed] - 0.05) <= 1e-12))
         hood_sizes.append(len(hood))

@@ -119,14 +119,49 @@ def test_train_divergence_exits_numeric(tmp_path, capsys):
     assert "non-finite" in err
 
 
+def _assert_one_usage_error(code, capsys, message):
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1e-320"])
 def test_train_rejects_bad_temperature(tmp_path, capsys, value):
     flags = data_flags(tmp_path)
     code = main(["train", *flags, *FAST_TRAIN, "--temperature", value, "--out", str(tmp_path / "m.tsv")])
-    assert code == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("error: temperature must be a finite number > 0")
-    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    _assert_one_usage_error(code, capsys, "temperature must be a finite number > 0")
+    assert not (tmp_path / "m.tsv").exists()
+
+
+NON_FINITE_CHECKS = {
+    "--lr": "peak learning rate must be a finite number > 0",
+    "--grad-clip": "gradient clip must be a finite number > 0",
+    "--weight-decay": "weight decay must be a finite number >= 0",
+    "--margin-tau-temperature": "margin_tau temperature must be a finite number > 0",
+    "--margin": "additive margin must be a finite number >= 0",
+    "--hinge-margin": "hinge margin must be a finite number > 0",
+}
+
+
+@pytest.mark.parametrize("flag", list(NON_FINITE_CHECKS))
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_train_rejects_non_finite_float_options(tmp_path, capsys, flag, value):
+    # nan passes every `x <= 0` check, and grad_clip=nan would turn clipping off
+    flags = data_flags(tmp_path)
+    code = main(["train", *flags, *FAST_TRAIN, flag, value, "--out", str(tmp_path / "m.tsv")])
+    _assert_one_usage_error(code, capsys, NON_FINITE_CHECKS[flag])
+    assert not (tmp_path / "m.tsv").exists()
+
+
+def test_train_rejects_a_batch_of_one(tmp_path, capsys):
+    # train skips batches of fewer than 2 rows, so batch size 1 would run no step
+    flags = data_flags(tmp_path)
+    code = main([
+        "train", *flags, *FAST_TRAIN, "--negatives", "sn", "--batch-size", "1",
+        "--out", str(tmp_path / "m.tsv"),
+    ])
+    _assert_one_usage_error(code, capsys, "batch size must be >= 2, got 1")
     assert not (tmp_path / "m.tsv").exists()
 
 
@@ -178,6 +213,15 @@ def test_evaluate_rerank_flips_flag(trained, tmp_path):
         "--rerank", "--alpha", "0.05", "--hops", "2",
     ]) == EXIT_OK
     assert json.loads(path.read_text())["reranked"] is True
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_rerank_rejects_a_non_finite_alpha(trained, capsys, command, value):
+    flags, out = trained
+    query = ["--head", "p0", "--relation", "lives_in"] if command == "predict" else []
+    code = main([command, *flags, "--checkpoint", str(out), *query, "--rerank", "--alpha", value])
+    _assert_one_usage_error(code, capsys, "re-rank boost must be a finite number >= 0")
 
 
 def test_evaluate_valid_split(trained, tmp_path, capsys):

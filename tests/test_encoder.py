@@ -10,7 +10,6 @@ from textkgc.encoder import (
     DEFAULT_MAX_TOKENS,
     EncoderParams,
     GradientBuffer,
-    PrecomputedEntityEncoder,
     TokenIds,
     combine_query_tokens,
     encode_backward,
@@ -23,9 +22,10 @@ from textkgc.encoder import (
     tokenize,
 )
 from textkgc.errors import CheckpointError, KgcError, NumericError, UnknownIdError
+from textkgc.evaluation import read_embeddings
 from textkgc.randomness import fnv1a_64, named_stream
 
-from conftest import reference_encode_backward, tiny_params
+from conftest import make_graph, reference_encode_backward, tiny_params
 
 
 def encode_tail(params, tokens, dropout=0.0, rng=None):
@@ -579,40 +579,42 @@ def test_checkpoint_rejects_non_finite_values(tmp_path, value):
             load_checkpoint(str(path))
 
 
-# -- precomputed plugin ------------------------------------------------------
+# -- precomputed vectors -----------------------------------------------------
 
 
 def test_precomputed_loads_unit_vectors(tmp_path):
     path = tmp_path / "emb.tsv"
     path.write_text("a\t1.0 0.0\nb\t0.0 -1.0\n")
-    plugin = PrecomputedEntityEncoder.load(str(path))
-    assert plugin.dim == 2
-    assert np.array_equal(plugin.entity_vector("b"), np.array([0.0, -1.0]))
-    assert plugin.ids == ["a", "b"]
+    idx = read_embeddings(make_graph(train=[("a", "r", "b")]), str(path))
+    assert idx.matrix.shape == (2, 2)
+    assert np.array_equal(idx.matrix[1], np.array([0.0, -1.0]))
+    assert idx.entity_ids == ["a", "b"]
+    assert idx.forward_passes == 0
     with pytest.raises(UnknownIdError, match="zzz"):
-        plugin.entity_vector("zzz")
+        read_embeddings(make_graph(train=[("a", "r", "zzz")]), str(path))
 
 
 def test_precomputed_rejects_bad_rows(tmp_path):
+    g = make_graph(train=[("a", "r", "b")])
     path = tmp_path / "emb.tsv"
     path.write_text("a\t0.5 0.5\n")  # not unit
     with pytest.raises(CheckpointError, match="unit"):
-        PrecomputedEntityEncoder.load(str(path))
+        read_embeddings(g, str(path))
     path.write_text("a\t1.0 0.0\nb\t1.0\n")
     with pytest.raises(CheckpointError, match="dimension"):
-        PrecomputedEntityEncoder.load(str(path))
+        read_embeddings(g, str(path))
     path.write_text("")
     with pytest.raises(CheckpointError, match="no vectors"):
-        PrecomputedEntityEncoder.load(str(path))
+        read_embeddings(g, str(path))
     path.write_text("a only spaces no tab\n")
     with pytest.raises(CheckpointError):
-        PrecomputedEntityEncoder.load(str(path))
+        read_embeddings(g, str(path))
     path.write_text("a\t1.0 0.0\nb\tnan nan\n")  # nan passes a tolerance test on the norm
     with pytest.raises(CheckpointError, match="emb.tsv:2: vector for 'b' is not a finite unit"):
-        PrecomputedEntityEncoder.load(str(path))
+        read_embeddings(g, str(path))
     path.write_text("a\t1.0 0.0\nb\t0.0 1.0\na\t0.0 -1.0\n")
     with pytest.raises(CheckpointError, match="emb.tsv:3: duplicate entity id 'a'"):
-        PrecomputedEntityEncoder.load(str(path))
+        read_embeddings(g, str(path))
     path.write_bytes(b"a\t1.0 0.0\n\nb\x80\t0.0 1.0\n")
     with pytest.raises(CheckpointError, match="emb.tsv:3: not valid UTF-8"):
-        PrecomputedEntityEncoder.load(str(path))
+        read_embeddings(g, str(path))

@@ -10,7 +10,6 @@ from textkgc import encoder as enc
 from textkgc import evaluation as ev
 from textkgc import graph as kg
 from textkgc.encoder import (
-    PrecomputedEntityEncoder,
     TokenIds,
     forward_tail,
     tokenize,
@@ -21,10 +20,10 @@ from textkgc.evaluation import (
     RerankConfig,
     build_index,
     evaluate,
-    index_from_precomputed,
     predict_topk,
     query_vector,
     rank_one,
+    read_embeddings,
     rerank_scores,
     write_embeddings,
 )
@@ -73,12 +72,18 @@ def test_index_rejects_ids_out_of_order():
         crafted_index(["a", "a"], np.eye(2))
 
 
-def test_index_row_finds_ids_by_binary_search():
-    idx = crafted_index(["a", "c", "d"], np.eye(3))
-    assert [idx.row(e) for e in ("a", "c", "d")] == [0, 1, 2]
+def test_index_rows_are_the_graph_entity_numbers():
+    g = make_graph(train=[("c", "r", "a"), ("d", "r", "a")], augment=True)
+    params = tiny_params()
+    idx = build_index(g, params)
+    assert idx.entity_ids == list(g.entity_ids) == ["a", "c", "d"]
+    assert g.entity_numbers(["a", "c", "d"]).tolist() == [0, 1, 2]
+    idx.entity_ids.append("e")  # the index holds a copy of the numbering
+    assert g.entity_ids == ("a", "c", "d")
+    idx = build_index(g, params)
     for missing in ("", "b", "e"):
-        with pytest.raises(UnknownIdError):
-            idx.row(missing)
+        with pytest.raises(UnknownIdError, match=f"unknown entity id: '{missing}'"):
+            rank_one(g, idx, params, Triple("a", "r", missing))
 
 
 def test_build_index_one_row_per_entity(encoded_rows):
@@ -102,10 +107,11 @@ def test_build_index_rows_encode_augmented_descriptions():
     g = make_graph(train=[("a", "r", "b")], descriptions={"a": "short text"}, augment=True)
     params = tiny_params()
     idx = build_index(g, params)
-    for entity_id in idx.entity_ids:
+    for row, entity_id in enumerate(idx.entity_ids):
+        assert g.entity_numbers([entity_id]).tolist() == [row]
         tokens = tokenize(augment_description(g, entity_id), params.buckets)
         expected = forward_tail(params, TokenIds.pad([tokens])).output[0]
-        assert np.array_equal(idx.matrix[idx.row(entity_id)], expected)
+        assert np.array_equal(idx.matrix[row], expected)
 
 
 def test_build_index_is_deterministic_and_pure():
@@ -220,7 +226,7 @@ def test_rank_one_matches_exhaustive_oracle():
             # oracle must see those gaps as the program does
             q = query_vector(g, params, [(triple.head, triple.relation)])[0]
             scores = np.einsum("ij,j->i", idx.matrix, q)
-            target = scores[idx.row(triple.tail)]
+            target = scores[idx.entity_ids.index(triple.tail)]
             numbered = sorted(g.entities)  # known_tail_numbers counts in sorted-id order
             known = {numbered[n] for n in g.known_tail_numbers(triple.head, triple.relation).tolist()}
             kept = [
@@ -240,16 +246,14 @@ def test_rank_one_matches_exhaustive_oracle():
 
 
 def test_rerank_scores_bumps_exactly_the_neighborhood():
-    ids = ["a", "b", "c", "d"]
-    idx = crafted_index(ids, np.eye(4))
     scores = np.array([0.5, 0.25, 0.125, 0.0625])
-    out = rerank_scores(idx, scores, ["b", "d"], alpha=0.05)
+    out = rerank_scores(scores, np.array([1, 3]), alpha=0.05)
     diff = out - scores
     assert abs(diff[1] - 0.05) <= 1e-12 and abs(diff[3] - 0.05) <= 1e-12
     assert diff[0] == 0.0 and diff[2] == 0.0
     assert scores[1] == 0.25  # input untouched
-    with pytest.raises(UnknownIdError):
-        rerank_scores(idx, scores, ["ghost"], alpha=0.05)
+    with pytest.raises(IndexError):
+        rerank_scores(scores, np.array([4]), alpha=0.05)
 
 
 def test_rerank_flips_argmax_inside_two_hops():
@@ -285,6 +289,9 @@ def test_rerank_config_validation():
         RerankConfig(alpha=-0.01, hops=2)
     with pytest.raises(KgcError):
         RerankConfig(alpha=0.05, hops=0)
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(KgcError, match="finite"):
+            RerankConfig(alpha=alpha, hops=2)
 
 
 # -- evaluate ----------------------------------------------------------------
@@ -495,12 +502,12 @@ def test_identical_rows_tie_exactly_in_rank_and_topk():
             v = rng.normal(size=32)
             rows.append(v / np.linalg.norm(v))
     idx = crafted_index(ids, rows)
-    twin_rows = [idx.row(t) for t in twins]
+    twin_rows = [ids.index(t) for t in twins]
     scores = np.einsum("ij,j->i", idx.matrix, q)
     twin_score = float(twin @ q)
 
     rank = rank_one(g, idx, params, Triple("a", "r", "t3"))
-    others_above = sum(1 for e in ids if e not in twins and scores[idx.row(e)] > twin_score)
+    others_above = sum(1 for e in ids if e not in twins and scores[ids.index(e)] > twin_score)
     assert rank == 1.0 + others_above + (7 - 1) / 2.0
 
     top = predict_topk(g, idx, params, "a", "r", k=len(ids))
@@ -530,8 +537,7 @@ def test_write_embeddings_roundtrip(tmp_path):
     idx = build_index(g, params)
     path = tmp_path / "vectors.tsv"
     write_embeddings(idx, str(path))
-    plugin = PrecomputedEntityEncoder.load(str(path))
-    rebuilt = index_from_precomputed(g, plugin)
+    rebuilt = read_embeddings(g, str(path))
     assert rebuilt.entity_ids == idx.entity_ids
     assert np.array_equal(rebuilt.matrix, idx.matrix)
     assert rebuilt.forward_passes == 0
@@ -546,9 +552,8 @@ def test_index_from_precomputed_requires_every_entity(tmp_path):
         entity_id = idx.entity_ids[0]
         row = idx.matrix[0]
         fh.write(entity_id + "\t" + " ".join(repr(float(v)) for v in row) + "\n")
-    plugin = PrecomputedEntityEncoder.load(str(path))
-    with pytest.raises(UnknownIdError):
-        index_from_precomputed(g, plugin)
+    with pytest.raises(UnknownIdError, match="no precomputed vector for entity 'b'"):
+        read_embeddings(g, str(path))
 
 
 def test_evaluate_on_precomputed_index_matches_encoder_index(tmp_path):
@@ -559,7 +564,7 @@ def test_evaluate_on_precomputed_index_matches_encoder_index(tmp_path):
     idx = build_index(g, params)
     path = tmp_path / "vectors.tsv"
     write_embeddings(idx, str(path))
-    rebuilt = index_from_precomputed(g, PrecomputedEntityEncoder.load(str(path)))
+    rebuilt = read_embeddings(g, str(path))
     a = evaluate(g, idx, params).report()
     b = evaluate(g, rebuilt, params).report()
     a.pop("forward_passes")

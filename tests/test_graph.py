@@ -183,21 +183,39 @@ def test_inverse_of_round_trips():
 # -- k-hop neighborhoods -----------------------------------------------------
 
 
+def hop_ids(g, entity_id, k):
+    """``k_hop_neighbors`` mapped back to entity ids."""
+    return {g.entity_ids[n] for n in k_hop_neighbors(g, entity_id, k).tolist()}
+
+
 def test_k_hop_on_a_chain():
     g = make_graph(train=[("a", "r", "b"), ("b", "r", "c")])
-    assert k_hop_neighbors(g, "a", 1) == {"b"}
-    assert k_hop_neighbors(g, "a", 2) == {"b", "c"}
-    assert k_hop_neighbors(g, "b", 1) == {"a", "c"}
+    assert hop_ids(g, "a", 1) == {"b"}
+    assert hop_ids(g, "a", 2) == {"b", "c"}
+    assert hop_ids(g, "b", 1) == {"a", "c"}
+
+
+def test_k_hop_numbers_increase():
+    # in a small set 33 iterates before 2, so set order is not number order
+    ids = [f"e{i:02d}" for i in range(40)]
+    g = make_graph(
+        train=[(ids[0], "r", ids[33]), (ids[0], "r", ids[2]), (ids[39], "r", ids[2])],
+        test=[(e, "r", e) for e in ids],
+    )
+    assert k_hop_neighbors(g, "e00", 1).tolist() == [2, 33]
+    assert k_hop_neighbors(g, "e00", 2).tolist() == [2, 33, 39]
+    assert g.neighbor_numbers("e02").tolist() == [0, 39]
 
 
 def test_k_hop_isolated_entity_is_empty():
     g = make_graph(train=[("a", "r", "b")], test=[("c", "r", "a")])
-    assert k_hop_neighbors(g, "c", 3) == frozenset()
+    assert hop_ids(g, "c", 3) == set()
+    assert k_hop_neighbors(g, "c", 3).dtype == np.int64
 
 
 def test_k_hop_excludes_self_and_validates():
-    g = make_graph(train=[("a", "r", "b"), ("b", "r", "a")])
-    assert "a" not in k_hop_neighbors(g, "a", 5)
+    g = make_graph(train=[("a", "r", "b"), ("b", "r", "a"), ("a", "s", "a")])
+    assert "a" not in hop_ids(g, "a", 5)
     with pytest.raises(UnknownIdError):
         k_hop_neighbors(g, "zz", 1)
     with pytest.raises(KgcError):
@@ -216,7 +234,7 @@ def test_k_hop_monotone_in_k(rng):
         if start not in g.entities:
             continue
         for k in range(1, 5):
-            assert k_hop_neighbors(g, start, k) <= k_hop_neighbors(g, start, k + 1)
+            assert hop_ids(g, start, k) <= hop_ids(g, start, k + 1)
 
 
 def test_k_hop_matches_bfs_oracle(rng):
@@ -240,7 +258,10 @@ def test_k_hop_matches_bfs_oracle(rng):
             frontier = {m for f in frontier for m in undirected.get(f, ())} - seen
             seen |= frontier
             reach |= frontier
-        assert k_hop_neighbors(g, start, k) == reach - {start}
+        assert hop_ids(g, start, k) == reach - {start}
+        numbers = k_hop_neighbors(g, start, k)
+        assert numbers.dtype == np.int64
+        assert numbers.tolist() == g.entity_numbers(sorted(reach - {start})).tolist()  # increasing
 
 
 # -- relation categories -----------------------------------------------------
@@ -394,8 +415,12 @@ def test_known_answers_whole_arrays():
 
 def test_adjacency_covers_train_only():
     g = make_graph(train=[("a", "r", "b")], test=[("a", "q", "c")])
-    assert g.neighbors("a") == {"b"}
-    assert g.neighbors("c") == frozenset()
+    assert g.neighbor_numbers("a").tolist() == g.entity_numbers(["b"]).tolist()
+    assert g.neighbor_numbers("c").tolist() == []
+    with pytest.raises(UnknownIdError):
+        g.neighbor_numbers("zz")
+    with pytest.raises(ValueError, match="read-only"):  # a view of the graph's own adjacency
+        g.neighbor_numbers("a")[0] = 2
 
 
 def test_accessors_raise_on_unknown_ids():

@@ -1,8 +1,9 @@
 """Property tests: the whole-array candidate mask, top-k selection and
 chunked ranking against per-cell and sort-based references kept here, the
-encoder's backward scatter and the touched-row optimizer update against the
-``np.add.at`` and dense references in conftest, and the loaders fed
-corrupted files."""
+numbered neighbor walks (text augmentation and the re-rank boost) against
+string-set references kept here, the encoder's backward scatter and the
+touched-row optimizer update against the ``np.add.at`` and dense references
+in conftest, and the loaders fed corrupted files."""
 
 import re
 
@@ -18,7 +19,6 @@ from textkgc import evaluation as ev
 from textkgc.contrastive import PreBatchQueue, TrainingBatch, assemble_candidates
 from textkgc.encoder import (
     GradientBuffer,
-    PrecomputedEntityEncoder,
     TokenIds,
     combine_query_tokens,
     encode_backward,
@@ -36,8 +36,17 @@ from textkgc.evaluation import (
     predict_topk,
     query_vector,
     rank_one,
+    read_embeddings,
+    write_embeddings,
 )
-from textkgc.graph import SPLITS, Triple, augment_description, k_hop_neighbors, load_graph
+from textkgc.graph import (
+    SHORT_DESCRIPTION_TOKENS,
+    SPLITS,
+    Triple,
+    augment_description,
+    k_hop_neighbors,
+    load_graph,
+)
 from textkgc.training import OptimizerState, TrainConfig, apply_update
 
 from conftest import (
@@ -134,6 +143,129 @@ def test_predict_topk_matches_sorted_reference(levels, k, rerank):
     assert predict_topk(g, idx, params, ids[0], "r", k, cfg) == want
 
 
+# -- numbered neighbor walks -----------------------------------------------------
+
+
+def _string_neighbors(g):
+    """Undirected train neighbors as a dict of id-string sets."""
+    neighbors = {}
+    for h, _, t in g.triples("train"):
+        neighbors.setdefault(h, set()).add(t)
+        neighbors.setdefault(t, set()).add(h)
+    return neighbors
+
+
+def _reference_augment(g, entity_id, exclude=None):
+    """Augmentation over a string-set neighbor map, names in sorted-id order."""
+    ent = g.entity(entity_id)
+    base = ent.description.strip() or ent.name
+    if len(base.split()) >= SHORT_DESCRIPTION_TOKENS:
+        return base
+    neighbor_ids = set(_string_neighbors(g).get(entity_id, ()))
+    neighbor_ids.discard(entity_id)
+    if exclude is not None:
+        neighbor_ids.discard(exclude)
+    if not neighbor_ids:
+        return base
+    return base + " " + " ".join(g.entity(n).name for n in sorted(neighbor_ids))
+
+
+def _reference_hood(g, entity_id, k):
+    """Ids within k undirected train hops, excluding self, by frontier sets."""
+    neighbors = _string_neighbors(g)
+    seen, frontier = {entity_id}, {entity_id}
+    for _ in range(k):
+        frontier = {m for f in frontier for m in neighbors.get(f, ())} - seen
+        seen |= frontier
+    return seen - {entity_id}
+
+
+_DESCRIPTIONS = st.sampled_from(["", "  ", "few words", " ".join(["w"] * (SHORT_DESCRIPTION_TOKENS - 1)),
+                                 " ".join(["w"] * SHORT_DESCRIPTION_TOKENS)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    train=st.lists(_triples, max_size=12),
+    test=st.lists(_triples, min_size=1, max_size=4),
+    descriptions=st.lists(_DESCRIPTIONS, min_size=len(ENTITY_POOL), max_size=len(ENTITY_POOL)),
+    augment=st.booleans(),
+    exclude=st.sampled_from([None, *ENTITY_POOL, *UNDECLARED]),
+)
+@example(  # a reflexive triple, and c has no train neighbor
+    train=[("a", "r", "a"), ("a", "r", "b"), ("b", "s", "a")], test=[("c", "s", "a")],
+    descriptions=[""] * len(ENTITY_POOL), augment=True, exclude="b",
+)
+def test_augment_description_matches_string_set_reference(train, test, descriptions, augment, exclude):
+    # reflexive train triples, entities only the test split declares (no
+    # train neighbors), and plain and inverse-augmented graphs
+    g = make_graph(
+        train=train,
+        test=test,
+        descriptions=dict(zip(ENTITY_POOL, descriptions)),
+        names={e: f"Name {e.upper()}" for e in ENTITY_POOL},
+        augment=augment,
+    )
+    for e in g.entity_ids:
+        assert augment_description(g, e) == _reference_augment(g, e)
+        assert augment_description(g, e, exclude=exclude) == _reference_augment(g, e, exclude)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    train=st.lists(_triples, min_size=1, max_size=12),
+    test=st.lists(_triples, min_size=1, max_size=4),
+    heads=st.lists(st.sampled_from(ENTITY_POOL), min_size=1, max_size=5),
+    alpha=st.floats(0.0, 2.0),
+    hops=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+@example(  # c has an empty neighborhood, a a reflexive edge
+    train=[("a", "r", "a"), ("a", "r", "b")], test=[("c", "r", "a")], heads=["c", "a", "c"],
+    alpha=0.05, hops=2, seed=0,
+)
+def test_rerank_boost_matches_a_per_neighbor_loop(train, test, heads, alpha, hops, seed):
+    g = make_graph(train=train, test=test, augment=True)
+    heads = [h for h in heads if h in g.entities] or [g.entity_ids[0]]
+    rng = np.random.default_rng(seed)
+    idx = EntityEmbeddingIndex(list(g.entity_ids), rng.normal(size=(len(g.entity_ids), 4)), forward_passes=0)
+    queries = rng.normal(size=(len(heads), 4))
+    got = ev._candidate_scores(g, idx, heads, queries, RerankConfig(alpha, hops))
+    want = ev._candidate_scores(g, idx, heads, queries, None)
+    for row, h in enumerate(heads):
+        for e in _reference_hood(g, h, hops):
+            want[row, idx.entity_ids.index(e)] += alpha
+    assert got.tobytes() == want.tobytes()
+
+
+_IDS = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"), min_size=1, max_size=4
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ids=st.lists(_IDS, min_size=2, max_size=6, unique=True),
+    dim=st.integers(1, 5),
+    exponents=st.lists(st.integers(-100, 100), min_size=1, max_size=5),
+    seed=st.integers(0, 2**16),
+)
+def test_read_embeddings_round_trips_written_vectors(tmp_path_factory, ids, dim, exponents, seed):
+    rng = np.random.default_rng(seed)
+    g = make_graph(train=[(a, "r", b) for a, b in zip(ids, ids[1:])])
+    vectors = rng.normal(size=(len(ids), dim)) * 10.0 ** np.resize(np.array(exponents, dtype=float), dim)
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    vectors[0] = -0.0
+    vectors[0, 0] = -1.0
+    idx = EntityEmbeddingIndex(list(g.entity_ids), vectors, forward_passes=0)
+    path = str(tmp_path_factory.mktemp("vectors") / "vectors.tsv")
+    write_embeddings(idx, path)
+    back = read_embeddings(g, path)
+    assert back.entity_ids == idx.entity_ids
+    assert back.matrix.tobytes() == idx.matrix.tobytes()
+    assert back.forward_passes == 0
+
+
 # -- the chunked read path -----------------------------------------------------
 
 
@@ -142,8 +274,8 @@ def _sort_reference_rank(g, idx, q, triple, rerank):
     h, r, t = triple
     scores = np.einsum("ij,j->i", idx.matrix, q)  # one query at a time
     if rerank is not None:
-        for e in k_hop_neighbors(g, h, rerank.hops):
-            scores[idx.entity_ids.index(e)] += rerank.alpha
+        for n in k_hop_neighbors(g, h, rerank.hops).tolist():
+            scores[idx.entity_ids.index(g.entity_ids[n])] += rerank.alpha
     known = {trip for split in SPLITS for trip in g.triples(split)}
     target = scores[idx.entity_ids.index(t)]
     kept = sorted(
@@ -350,7 +482,10 @@ def test_checkpoint_loaders_raise_only_checkpoint_errors(tmp_path_factory, embed
             base = fh.read()
     with open(path, "wb") as fh:
         fh.write(_corrupt(base, edits))
+    g = make_graph(train=[("a", "r", "b"), ("b", "r", "c")])
     try:
-        PrecomputedEntityEncoder.load(path) if embeddings else load_checkpoint(path)
+        read_embeddings(g, path) if embeddings else load_checkpoint(path)
     except CheckpointError as err:
         _assert_names_line(err, path)
+    except UnknownIdError as err:  # a corrupted id leaves an entity without a vector
+        assert embeddings and re.fullmatch(r"no precomputed vector for entity '[abc]'", str(err)), str(err)

@@ -16,7 +16,7 @@ from textkgc import training as tr
 from textkgc.errors import KgcError, NumericError
 from textkgc.graph import add_inverse_triples, augment_description
 from textkgc.randomness import named_stream
-from textkgc.contrastive import PreBatchQueue
+from textkgc.contrastive import LossConfig, PreBatchQueue
 from textkgc.training import (
     OptimizerState,
     TrainConfig,
@@ -345,6 +345,24 @@ def test_train_config_rejects_bad_values():
         small_config(grad_clip=0.0)
     with pytest.raises(KgcError):
         small_config(max_negatives=0)
+
+
+def test_train_config_rejects_a_batch_of_one_without_in_batch_negatives():
+    # train skips every batch of fewer than 2 rows, so it would run no step
+    for negatives in ({"sn"}, {"ib"}, {"ib", "sn"}):
+        with pytest.raises(KgcError, match="batch size must be >= 2, got 1"):
+            small_config(batch_size=1, negatives=frozenset(negatives))
+    assert small_config(batch_size=2, negatives=frozenset({"sn"})).batch_size == 2
+
+
+def test_configs_reject_non_finite_floats():
+    for value in (math.nan, math.inf, -math.inf):
+        for name in ("peak_lr", "grad_clip", "weight_decay", "margin_tau_temperature"):
+            with pytest.raises(KgcError, match="must be a finite number"):
+                small_config(**{name: value})
+        for name in ("additive_margin", "hinge_margin"):
+            with pytest.raises(KgcError, match="must be a finite number"):
+                LossConfig(**{name: value})
 
 
 def test_train_config_normalizes_negatives_case():
