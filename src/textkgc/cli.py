@@ -19,7 +19,8 @@ from . import contrastive as ct
 from . import encoder as enc
 from . import evaluation as ev
 from . import training as tr
-from .errors import KgcError, NumericError, ParseError, undecodable_line
+from .errors import KgcError, NumericError, ParseError
+from .files import read_lines, replace_file
 from .graph import KnowledgeGraph, add_inverse_triples, load_graph
 from .randomness import named_stream
 
@@ -75,7 +76,6 @@ _DATA = [
 ]
 _COMMON = [
     _Opt("--config", str, None, "config file with key = value lines"),
-    _Opt("--seed", int, 42, "seed for every random stream"),
     _Opt("--max-tokens", int, enc.DEFAULT_MAX_TOKENS, "token budget per text"),
 ]
 _MODEL = [
@@ -84,6 +84,7 @@ _MODEL = [
     _Opt("--temperature", float, enc.DEFAULT_TEMPERATURE, "initial softmax temperature"),
 ]
 _TRAIN = _MODEL + [
+    _Opt("--seed", int, 42, "seed for every random stream"),
     _Opt("--batch-size", int, 256, "triples per training step"),
     _Opt("--epochs", int, 10, "passes over the training split"),
     _Opt("--lr", float, 0.02, "peak learning rate"),
@@ -175,18 +176,14 @@ def build_parser() -> _Parser:
 
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, val = line.partition("=")
-                if not sep or not key.strip():
-                    raise ParseError(path, lineno, "expected 'key = value'")
-                values[key.strip().lower().replace("-", "_")] = val.strip()
-        except UnicodeDecodeError:
-            raise ParseError(path, undecodable_line(path), "not valid UTF-8") from None
+    for lineno, raw in read_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, val = line.partition("=")
+        if not sep or not key.strip():
+            raise ParseError(path, lineno, "expected 'key = value'")
+        values[key.strip().lower().replace("-", "_")] = val.strip()
     return values
 
 
@@ -229,7 +226,7 @@ def _load_augmented(cfg: dict) -> KnowledgeGraph:
     g = load_graph(cfg["train"], cfg["valid"], cfg["test"], cfg["entities"], cfg["relations"])
     g = add_inverse_triples(g)
     if cfg.get("load_report"):
-        with open(cfg["load_report"], "w", encoding="utf-8") as fh:
+        with replace_file(cfg["load_report"]) as fh:
             fh.write(json.dumps(g.load_report, indent=2, sort_keys=True) + "\n")
     return g
 
@@ -264,19 +261,22 @@ def _fresh_params(cfg: dict) -> enc.EncoderParams:
 
 
 def _rerank_config(cfg: dict) -> Optional[ev.RerankConfig]:
-    return ev.RerankConfig(cfg["alpha"], cfg["hops"]) if cfg["rerank"] else None
+    """The re-rank settings under ``--rerank``, else None; checked either way."""
+    rerank = ev.RerankConfig(cfg["alpha"], cfg["hops"])
+    return rerank if cfg["rerank"] else None
 
 
 def cmd_train(cfg: dict) -> int:
     g = _load_augmented(cfg)
     params, log_lines = tr.train(g, _fresh_params(cfg), _train_config(cfg), checkpoint_path=cfg["out"])
-    with open(cfg["out"] + ".log", "w", encoding="utf-8") as fh:
+    with replace_file(cfg["out"] + ".log") as fh:
         fh.write("\n".join(log_lines) + "\n")
     print(f"checkpoint: {cfg['out']} steps: {len(log_lines)}")
     return EXIT_OK
 
 
 def cmd_evaluate(cfg: dict) -> int:
+    rerank = _rerank_config(cfg)
     g = _load_augmented(cfg)
     params = enc.load_checkpoint(cfg["checkpoint"])
     if cfg["precomputed_embeddings"]:
@@ -286,10 +286,10 @@ def cmd_evaluate(cfg: dict) -> int:
             raise KgcError(f"precomputed dimension {dim} does not match checkpoint dimension {params.dim}")
     else:
         idx = ev.build_index(g, params, cfg["max_tokens"])
-    result = ev.evaluate(g, idx, params, cfg["split"], _rerank_config(cfg), cfg["max_tokens"])
+    result = ev.evaluate(g, idx, params, cfg["split"], rerank, cfg["max_tokens"])
     text = json.dumps(result.report(), indent=2, sort_keys=True) + "\n"
     if cfg["output"]:
-        with open(cfg["output"], "w", encoding="utf-8") as fh:
+        with replace_file(cfg["output"]) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -297,6 +297,7 @@ def cmd_evaluate(cfg: dict) -> int:
 
 
 def cmd_predict(cfg: dict) -> int:
+    rerank = _rerank_config(cfg)
     g = _load_augmented(cfg)
     params = enc.load_checkpoint(cfg["checkpoint"])
     relation = cfg["relation"]
@@ -304,9 +305,7 @@ def cmd_predict(cfg: dict) -> int:
     if cfg["direction"] == "head":
         relation = g.inverse_of(relation)
     idx = ev.build_index(g, params, cfg["max_tokens"])
-    rows = ev.predict_topk(
-        g, idx, params, cfg["head"], relation, cfg["topk"], _rerank_config(cfg), cfg["max_tokens"]
-    )
+    rows = ev.predict_topk(g, idx, params, cfg["head"], relation, cfg["topk"], rerank, cfg["max_tokens"])
     for pos, (entity_id, score, known) in enumerate(rows, start=1):
         print(f"{pos}\t{entity_id}\t{score!r}\t{'true' if known else 'false'}")
     return EXIT_OK
@@ -359,7 +358,7 @@ def cmd_sweep(cfg: dict) -> int:
         idx = ev.build_index(g, params, cfg["max_tokens"])
         report = ev.evaluate(g, idx, params, cfg["split"], None, cfg["max_tokens"]).report()
         path = os.path.join(cfg["out_dir"], f"{axis}-{point}.json")
-        with open(path, "w", encoding="utf-8") as fh:
+        with replace_file(path) as fh:
             fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
         summary.append(
             {
@@ -372,7 +371,7 @@ def cmd_sweep(cfg: dict) -> int:
             }
         )
 
-    with open(os.path.join(cfg["out_dir"], "summary.json"), "w", encoding="utf-8") as fh:
+    with replace_file(os.path.join(cfg["out_dir"], "summary.json")) as fh:
         fh.write(json.dumps({"axis": axis, "rows": summary}, indent=2, sort_keys=True) + "\n")
     print(f"{'point':>14} {'mrr':>8} {'hits1':>8} {'hits3':>8} {'hits10':>8}")
     for row in summary:

@@ -24,7 +24,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import CheckpointError, KgcError, NumericError, undecodable_line
+from .errors import CheckpointError, KgcError, NumericError
+from .files import format_row, parse_row, read_lines, replace_file
 from .randomness import fnv1a_64
 
 DEFAULT_BUCKETS = 30_000
@@ -351,82 +352,56 @@ def encode_backward(encoding: Encoding, upstream: np.ndarray) -> tuple[np.ndarra
 def save_checkpoint(params: EncoderParams, path: str) -> None:
     """Write a text checkpoint: header, hr rows, tail rows, temperature line.
 
-    The file is written as ``<path>.tmp`` and renamed over ``path`` when
-    complete, so a failed write leaves any earlier checkpoint at ``path``
-    as it was and removes its temp file.  There is no ``fsync``: the rename
-    guards against a crash of this process, not of the machine.
+    It is replaced whole or not at all: a failed write leaves ``path`` as it was.
     """
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(f"{CHECKPOINT_MAGIC} {params.buckets} {params.dim}\n")
-            for table in (params.hr_table, params.tail_table):
-                for row in table:
-                    handle.write(" ".join(repr(float(v)) for v in row))
-                    handle.write("\n")
-            handle.write(f"log_inv_tau {params.log_inv_tau!r}\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with replace_file(path) as handle:
+        handle.write(f"{CHECKPOINT_MAGIC} {params.buckets} {params.dim}\n")
+        for table in (params.hr_table, params.tail_table):
+            for row in table:
+                handle.write(format_row(row) + "\n")
+        handle.write(f"log_inv_tau {params.log_inv_tau!r}\n")
 
 
 def load_checkpoint(path: str) -> EncoderParams:
+    """The params of a ``save_checkpoint`` file; every fault is a ``CheckpointError`` at its line."""
+    lines = read_lines(path, CheckpointError)
+    header = next(lines, (1, ""))[1]
     try:
-        return _read_checkpoint(path)
-    except UnicodeDecodeError:
-        raise CheckpointError(f"{path}:{undecodable_line(path)}: not valid UTF-8") from None
-
-
-def _read_checkpoint(path: str) -> EncoderParams:
-    with open(path, "r", encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n")
-        parts = header.split(" ")
-        if len(parts) != 4 or " ".join(parts[:2]) != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}:1: bad checkpoint header: {header!r}")
-        try:
-            buckets, dim = int(parts[2]), int(parts[3])
-        except ValueError:
-            raise CheckpointError(f"{path}:1: bad checkpoint header: {header!r}") from None
-        # the 2 * buckets * dim values take at least two bytes each, so this
-        # claim cannot fit; checked before the tables are allocated, and loose
-        # enough that a cut-off file still names the line where it ends
-        if buckets < 2 or dim < 1 or buckets * dim > os.path.getsize(path):
-            raise CheckpointError(f"{path}:1: bad checkpoint header: {header!r}")
-        tables = []
-        lineno = 1
-        for name in (HR_TABLE, TAIL_TABLE):
-            table = np.empty((buckets, dim))
-            for i in range(buckets):
-                line = handle.readline()
-                lineno += 1
-                if not line:
-                    raise CheckpointError(f"{path}:{lineno}: truncated {name} table")
-                values = line.split()
-                if len(values) != dim:
-                    raise CheckpointError(
-                        f"{path}:{lineno}: expected {dim} values, got {len(values)}"
-                    )
-                try:
-                    table[i] = [float(v) for v in values]
-                except ValueError:
-                    raise CheckpointError(f"{path}:{lineno}: unparseable float") from None
-            if not np.isfinite(table).all():
-                bad = lineno - buckets + 1 + int(np.argmin(np.isfinite(table).all(axis=1)))
-                raise CheckpointError(f"{path}:{bad}: non-finite value in {name} table")
-            tables.append(table)
-        line = handle.readline()
-        lineno += 1
-        fields = line.split()
-        if len(fields) != 2 or fields[0] != "log_inv_tau":
-            raise CheckpointError(f"{path}:{lineno}: expected final 'log_inv_tau <value>' line")
-        try:
-            log_inv_tau = float(fields[1])
-        except ValueError:
-            raise CheckpointError(f"{path}:{lineno}: unparseable temperature") from None
-        if not math.isfinite(log_inv_tau):
-            raise CheckpointError(f"{path}:{lineno}: non-finite temperature")
-        if handle.readline():
-            raise CheckpointError(f"{path}:{lineno + 1}: trailing data after temperature line")
+        magic, buckets, dim = header.rsplit(" ", 2)
+        buckets, dim = int(buckets), int(dim)
+    except ValueError:
+        magic = None
+    # the 2 * buckets * dim values take at least two bytes each, so this
+    # claim cannot fit; checked before the tables are allocated, and loose
+    # enough that a cut-off file still names the line where it ends
+    if magic != CHECKPOINT_MAGIC or buckets < 2 or dim < 1 or buckets * dim > os.path.getsize(path):
+        raise CheckpointError(path, 1, f"bad checkpoint header: {header!r}")
+    tables = []
+    for name in (HR_TABLE, TAIL_TABLE):
+        table = np.empty((buckets, dim))
+        first = 2 + len(tables) * buckets  # the line of the table's first row
+        for i in range(buckets):
+            lineno, line = next(lines, (first + i, None))
+            if line is None:
+                raise CheckpointError(path, lineno, f"truncated {name} table")
+            values = line.split()
+            if len(values) != dim:
+                raise CheckpointError(path, lineno, f"expected {dim} values, got {len(values)}")
+            table[i] = parse_row(path, lineno, values)
+        finite = np.isfinite(table).all(axis=1)
+        if not finite.all():
+            raise CheckpointError(path, first + int(np.argmin(finite)), f"non-finite value in {name} table")
+        tables.append(table)
+    lineno, line = next(lines, (2 + 2 * buckets, ""))
+    fields = line.split()
+    if len(fields) != 2 or fields[0] != "log_inv_tau":
+        raise CheckpointError(path, lineno, "expected final 'log_inv_tau <value>' line")
+    try:
+        log_inv_tau = float(fields[1])
+    except ValueError:
+        raise CheckpointError(path, lineno, "unparseable temperature") from None
+    if not math.isfinite(log_inv_tau):
+        raise CheckpointError(path, lineno, "non-finite temperature")
+    if next(lines, None) is not None:
+        raise CheckpointError(path, lineno + 1, "trailing data after temperature line")
     return EncoderParams(tables[0], tables[1], log_inv_tau)

@@ -17,7 +17,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import encoder as enc
-from .errors import CheckpointError, KgcError, UnknownIdError, undecodable_line
+from .errors import CheckpointError, KgcError, UnknownIdError
+from .files import format_row, parse_row, read_lines, replace_file
 from .graph import KnowledgeGraph, Triple, augment_description, k_hop_neighbors
 
 TAIL_DIRECTION = "tail"
@@ -295,9 +296,9 @@ def predict_topk(
 
 def write_embeddings(idx: EntityEmbeddingIndex, path: str) -> None:
     """Write one ``entity_id<TAB>v1 v2 ...`` line per entity, repr floats."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with replace_file(path) as fh:
         for entity_id, row in zip(idx.entity_ids, idx.matrix):
-            fh.write(entity_id + "\t" + " ".join(repr(float(v)) for v in row) + "\n")
+            fh.write(entity_id + "\t" + format_row(row) + "\n")
 
 
 def read_embeddings(g: KnowledgeGraph, path: str) -> EntityEmbeddingIndex:
@@ -309,37 +310,25 @@ def read_embeddings(g: KnowledgeGraph, path: str) -> EntityEmbeddingIndex:
     """
     vectors: dict[str, np.ndarray] = {}
     dim: Optional[int] = None
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise CheckpointError(f"{path}:{lineno}: expected 'id<TAB>values'")
-                ident, values = parts
-                try:
-                    vec = np.array([float(v) for v in values.split()])
-                except ValueError:
-                    raise CheckpointError(f"{path}:{lineno}: unparseable float") from None
-                if dim is None:
-                    dim = vec.size
-                elif vec.size != dim:
-                    raise CheckpointError(
-                        f"{path}:{lineno}: dimension {vec.size} differs from first row ({dim})"
-                    )
-                if not abs(float(np.linalg.norm(vec)) - 1.0) <= 1e-6:  # also true for nan
-                    raise CheckpointError(
-                        f"{path}:{lineno}: vector for {ident!r} is not a finite unit vector"
-                    )
-                if ident in vectors:
-                    raise CheckpointError(f"{path}:{lineno}: duplicate entity id {ident!r}")
-                vectors[ident] = vec
-        except UnicodeDecodeError:
-            raise CheckpointError(f"{path}:{undecodable_line(path)}: not valid UTF-8") from None
+    for lineno, line in read_lines(path, CheckpointError):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise CheckpointError(path, lineno, "expected 'id<TAB>values'")
+        ident, values = parts
+        vec = np.array(parse_row(path, lineno, values.split()))
+        if dim is None:
+            dim = vec.size
+        elif vec.size != dim:
+            raise CheckpointError(path, lineno, f"dimension {vec.size} differs from first row ({dim})")
+        if not abs(float(np.linalg.norm(vec)) - 1.0) <= 1e-6:  # also true for nan
+            raise CheckpointError(path, lineno, f"vector for {ident!r} is not a finite unit vector")
+        if ident in vectors:
+            raise CheckpointError(path, lineno, f"duplicate entity id {ident!r}")
+        vectors[ident] = vec
     if dim is None:
-        raise CheckpointError(f"{path}:1: no vectors found")
+        raise CheckpointError(path, 1, "no vectors found")
     ids = list(g.entity_ids)
     if not ids:
         raise KgcError("graph has no entities to index")

@@ -13,11 +13,12 @@ query.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import KgcError, ParseError, UnknownIdError, undecodable_line
+from .errors import KgcError, ParseError, UnknownIdError
+from .files import read_lines
 
 SPLITS = ("train", "valid", "test")
 RELATION_CATEGORIES = ("1-1", "1-n", "n-1", "n-n")
@@ -224,20 +225,11 @@ class KnowledgeGraph:
         return self._categories[relation_id]
 
 
-def _read_lines(path: str) -> Iterator[tuple[int, str]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.rstrip("\r\n")
-                if line:
-                    yield lineno, line
-        except UnicodeDecodeError:
-            raise ParseError(path, undecodable_line(path), "not valid UTF-8") from None
-
-
 def _read_descriptions(path: str, kind: str) -> dict[str, tuple[str, str]]:
     rows: dict[str, tuple[str, str]] = {}
-    for lineno, line in _read_lines(path):
+    for lineno, line in read_lines(path):
+        if not line:
+            continue
         parts = line.split("\t")
         if len(parts) == 2:
             ident, name = parts
@@ -258,7 +250,9 @@ def _read_descriptions(path: str, kind: str) -> dict[str, tuple[str, str]]:
 
 def _read_triples(path: str) -> list[Triple]:
     triples: list[Triple] = []
-    for lineno, line in _read_lines(path):
+    for lineno, line in read_lines(path):
+        if not line:
+            continue
         parts = line.split("\t")
         if len(parts) != 3:
             raise ParseError(path, lineno, f"expected 3 tab-separated fields, got {len(parts)}")

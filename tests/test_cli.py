@@ -1,11 +1,13 @@
 """The five subcommands, flag/config handling, and the exit-code contract."""
 
+import errno
 import json
 
 import numpy as np
 import pytest
 
-from textkgc.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from textkgc import files
+from textkgc.cli import _OPTS, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 from conftest import write_dataset
 
@@ -222,6 +224,26 @@ def test_rerank_rejects_a_non_finite_alpha(trained, capsys, command, value):
     query = ["--head", "p0", "--relation", "lives_in"] if command == "predict" else []
     code = main([command, *flags, "--checkpoint", str(out), *query, "--rerank", "--alpha", value])
     _assert_one_usage_error(code, capsys, "re-rank boost must be a finite number >= 0")
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("evaluate", "--alpha", "nan", "re-rank boost must be a finite number >= 0"),
+        ("evaluate", "--hops", "0", "hop radius must be >= 1"),
+        ("predict", "--alpha", "-1", "re-rank boost must be a finite number >= 0"),
+    ],
+)
+def test_rerank_options_are_checked_without_rerank(trained, tmp_path, capsys, command, flag, value, message):
+    flags, out = trained
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    extra = ["--head", "p0", "--relation", "lives_in"] if command == "predict" else ["--output", str(report)]
+    code = main([command, *flags, "--checkpoint", str(out), *extra, flag, value])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err.startswith(f"error: {message}") and len(captured.err.splitlines()) == 1
+    assert captured.out == "" and not report.exists()
 
 
 def test_evaluate_valid_split(trained, tmp_path, capsys):
@@ -471,3 +493,151 @@ def test_config_file_bad_value(tmp_path, capsys):
     config.write_text("epochs = many\n")
     code = main(["train", *flags, "--config", str(config)])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict", "export-embeddings"])
+def test_seed_is_an_option_of_train_and_sweep_only(tmp_path, capsys, command):
+    # only train and sweep draw random numbers
+    assert main([command, *data_flags(tmp_path), "--seed", "3"]) == EXIT_USAGE
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+def test_a_config_seed_is_ignored_by_evaluate(trained, tmp_path):
+    flags, out = trained
+    config = tmp_path / "run.conf"
+    config.write_text("seed = 3\n")
+    report = tmp_path / "report.json"
+    assert main(["evaluate", *flags, "--checkpoint", str(out), "--config", str(config),
+                 "--output", str(report)]) == EXIT_OK
+
+
+# -- every numeric option, every command ---------------------------------------
+
+# options for which 0 is a valid value; every other numeric option needs a
+# value above 0, and only --seed takes a negative one
+ZERO_ALLOWED = {"--seed", "--warmup", "--weight-decay", "--dropout", "--pre-batches", "--margin", "--alpha"}
+
+
+def _bad_values(flag):
+    values = ["nan", "inf", "ten"]
+    if flag != "--seed":
+        values.append("-1")
+    if flag not in ZERO_ALLOWED:
+        values.append("0")
+    return values
+
+
+BAD_OPTION_DRAWS = [
+    (command, o.flag, value)
+    for command, opts in _OPTS.items()
+    for o in opts
+    if o.kind in (int, float)
+    for value in _bad_values(o.flag)
+]
+
+
+@pytest.fixture(scope="module")
+def trained_once(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("trained")
+    flags = data_flags(tmp)
+    out = tmp / "model.tsv"
+    assert main(["train", *flags, *FAST_TRAIN, "--out", str(out)]) == EXIT_OK
+    return flags, out
+
+
+def _command_line(command, flags, checkpoint, out_dir):
+    """A run of ``command`` that succeeds and writes its outputs under ``out_dir``."""
+    if command == "train":
+        return ["train", *flags, *FAST_TRAIN, "--out", str(out_dir / "m.tsv")]
+    if command == "sweep":
+        return ["sweep", *flags, *FAST_TRAIN, "--axis", "loss-kind", "--points", "infonce",
+                "--out-dir", str(out_dir / "sweep")]
+    extra = {
+        "evaluate": ["--output", str(out_dir / "report.json")],
+        "predict": ["--head", "p0", "--relation", "lives_in"],
+        "export-embeddings": ["--out", str(out_dir / "vectors.tsv")],
+    }[command]
+    return [command, *flags, "--checkpoint", str(checkpoint), *extra]
+
+
+@pytest.mark.parametrize("command", list(_OPTS))
+def test_the_error_path_command_lines_succeed(trained_once, tmp_path, capsys, command):
+    flags, checkpoint = trained_once
+    capsys.readouterr()
+    assert main(_command_line(command, flags, checkpoint, tmp_path)) == EXIT_OK
+    if command == "predict":
+        assert len(capsys.readouterr().out.splitlines()) == 10  # its candidates
+    else:
+        assert list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, flag, value", BAD_OPTION_DRAWS)
+def test_every_bad_option_value_is_one_error_line(trained_once, tmp_path, capsys, command, flag, value):
+    # the same command line as above, with one numeric option drawn bad
+    flags, checkpoint = trained_once
+    capsys.readouterr()
+    code = main([*_command_line(command, flags, checkpoint, tmp_path), flag, value])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "Traceback" not in captured.err
+    assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+    assert captured.out == ""
+    assert not [path for path in tmp_path.rglob("*") if path.is_file()]
+
+
+# -- interrupted writes --------------------------------------------------------
+
+
+class _DiskFullHandle:
+    """Writes the first half of its first write, then fails as a full disk does."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, text):
+        self.handle.write(text[: len(text) // 2])
+        self.handle.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+# output kind -> (command line, the file it writes), under one directory
+OUTPUT_KINDS = {
+    "checkpoint": ("train", "m.tsv"),
+    "log": ("train", "m.tsv.log"),
+    "load-report": ("train", "load.json"),
+    "embeddings": ("export-embeddings", "vectors.tsv"),
+    "evaluate-output": ("evaluate", "report.json"),
+    "sweep-report": ("sweep", "sweep/loss-kind-infonce.json"),
+    "sweep-summary": ("sweep", "sweep/summary.json"),
+}
+
+
+@pytest.mark.parametrize("kind", list(OUTPUT_KINDS))
+def test_a_failed_write_keeps_the_old_file(trained_once, tmp_path, capsys, monkeypatch, kind):
+    flags, checkpoint = trained_once
+    command, name = OUTPUT_KINDS[kind]
+    argv = _command_line(command, flags, checkpoint, tmp_path)
+    if kind == "load-report":
+        argv += ["--load-report", str(tmp_path / name)]
+    target = tmp_path / name
+    assert main(argv) == EXIT_OK
+    before = target.read_bytes()
+    capsys.readouterr()
+
+    real_open = open
+
+    def failing_open(path, mode="r", **kwargs):
+        handle = real_open(path, mode, **kwargs)
+        return _DiskFullHandle(handle) if path == f"{target}.tmp" else handle
+
+    monkeypatch.setattr(files, "open", failing_open, raising=False)
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert target.read_bytes() == before
+    assert not list(tmp_path.rglob("*.tmp"))
