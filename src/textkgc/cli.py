@@ -8,7 +8,6 @@ config file holds ``key = value`` lines keyed by flag name.  Exit codes are
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -28,12 +27,12 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 
-SWEEP_AXES = ("negatives-count", "loss-kind", "batch-size", "margin")
-SWEEP_DEFAULT_POINTS = {
-    "negatives-count": "5,15,63",
-    "loss-kind": "infonce,margin,margin_tau",
-    "batch-size": "64,128,256",
-    "margin": "0,0.02,0.05",
+# each sweep axis: the train option its points set, and its default points
+SWEEP_AXES = {
+    "negatives-count": ("--max-negatives", "5,15,63"),
+    "loss-kind": ("--loss", "infonce,margin,margin_tau"),
+    "batch-size": ("--batch-size", "64,128,256"),
+    "margin": ("--margin", "0,0.02,0.05"),
 }
 
 
@@ -76,11 +75,11 @@ _DATA = [
 ]
 _COMMON = [
     _Opt("--config", str, None, "config file with key = value lines"),
-    _Opt("--max-tokens", int, enc.DEFAULT_MAX_TOKENS, "token budget per text"),
 ]
 _MODEL = [
     _Opt("--buckets", int, enc.DEFAULT_BUCKETS, "hashed vocabulary size"),
     _Opt("--dim", int, enc.DEFAULT_DIM, "embedding dimension"),
+    _Opt("--max-tokens", int, enc.DEFAULT_MAX_TOKENS, "token budget per text, kept in the checkpoint"),
     _Opt("--temperature", float, enc.DEFAULT_TEMPERATURE, "initial softmax temperature"),
 ]
 _TRAIN = _MODEL + [
@@ -145,7 +144,7 @@ _OPTS = {
     + _COMMON
     + _TRAIN
     + [
-        _Opt("--axis", str, None, "swept dimension", choices=SWEEP_AXES, required=True),
+        _Opt("--axis", str, None, "swept dimension", choices=tuple(SWEEP_AXES), required=True),
         _Opt("--points", str, None, "comma-separated sweep points (default: per-axis set)"),
         _Opt("--out-dir", str, "sweep", "directory for per-point reports"),
         _Opt("--split", str, "test", "split to rank", choices=("train", "valid", "test")),
@@ -244,7 +243,6 @@ def _train_config(cfg: dict) -> tr.TrainConfig:
         negatives=frozenset(p.strip() for p in cfg["negatives"].split(",") if p.strip()),
         pre_batches=cfg["pre_batches"],
         seed=cfg["seed"],
-        max_tokens=cfg["max_tokens"],
         max_negatives=cfg["max_negatives"],
         margin_tau_temperature=cfg["margin_tau_temperature"],
         loss=ct.LossConfig(
@@ -257,7 +255,9 @@ def _train_config(cfg: dict) -> tr.TrainConfig:
 
 def _fresh_params(cfg: dict) -> enc.EncoderParams:
     rng = named_stream(cfg["seed"], "init")
-    return enc.EncoderParams.initialize(cfg["buckets"], cfg["dim"], rng, cfg["temperature"])
+    return enc.EncoderParams.initialize(
+        cfg["buckets"], cfg["dim"], rng, cfg["temperature"], cfg["max_tokens"]
+    )
 
 
 def _rerank_config(cfg: dict) -> Optional[ev.RerankConfig]:
@@ -267,8 +267,9 @@ def _rerank_config(cfg: dict) -> Optional[ev.RerankConfig]:
 
 
 def cmd_train(cfg: dict) -> int:
+    train_cfg, params = _train_config(cfg), _fresh_params(cfg)  # every option checked before any output
     g = _load_augmented(cfg)
-    params, log_lines = tr.train(g, _fresh_params(cfg), _train_config(cfg), checkpoint_path=cfg["out"])
+    params, log_lines = tr.train(g, params, train_cfg, checkpoint_path=cfg["out"])
     with replace_file(cfg["out"] + ".log") as fh:
         fh.write("\n".join(log_lines) + "\n")
     print(f"checkpoint: {cfg['out']} steps: {len(log_lines)}")
@@ -277,16 +278,16 @@ def cmd_train(cfg: dict) -> int:
 
 def cmd_evaluate(cfg: dict) -> int:
     rerank = _rerank_config(cfg)
+    params = enc.load_checkpoint(cfg["checkpoint"])  # a bad checkpoint leaves no load report
     g = _load_augmented(cfg)
-    params = enc.load_checkpoint(cfg["checkpoint"])
     if cfg["precomputed_embeddings"]:
         idx = ev.read_embeddings(g, cfg["precomputed_embeddings"])
         dim = idx.matrix.shape[1]
         if dim != params.dim:
             raise KgcError(f"precomputed dimension {dim} does not match checkpoint dimension {params.dim}")
     else:
-        idx = ev.build_index(g, params, cfg["max_tokens"])
-    result = ev.evaluate(g, idx, params, cfg["split"], rerank, cfg["max_tokens"])
+        idx = ev.build_index(g, params)
+    result = ev.evaluate(g, idx, params, cfg["split"], rerank)
     text = json.dumps(result.report(), indent=2, sort_keys=True) + "\n"
     if cfg["output"]:
         with replace_file(cfg["output"]) as fh:
@@ -304,8 +305,8 @@ def cmd_predict(cfg: dict) -> int:
     g.relation(relation)
     if cfg["direction"] == "head":
         relation = g.inverse_of(relation)
-    idx = ev.build_index(g, params, cfg["max_tokens"])
-    rows = ev.predict_topk(g, idx, params, cfg["head"], relation, cfg["topk"], rerank, cfg["max_tokens"])
+    idx = ev.build_index(g, params)
+    rows = ev.predict_topk(g, idx, params, cfg["head"], relation, cfg["topk"], rerank)
     for pos, (entity_id, score, known) in enumerate(rows, start=1):
         print(f"{pos}\t{entity_id}\t{score!r}\t{'true' if known else 'false'}")
     return EXIT_OK
@@ -314,49 +315,41 @@ def cmd_predict(cfg: dict) -> int:
 def cmd_export_embeddings(cfg: dict) -> int:
     g = _load_augmented(cfg)
     params = enc.load_checkpoint(cfg["checkpoint"])
-    idx = ev.build_index(g, params, cfg["max_tokens"])
+    idx = ev.build_index(g, params)
     ev.write_embeddings(idx, cfg["out"])
     print(f"embeddings: {cfg['out']} rows: {len(idx.entity_ids)}")
     return EXIT_OK
 
 
-def _parse_point(axis: str, raw: str):
-    try:
-        if axis in ("negatives-count", "batch-size"):
-            return int(raw)
-        if axis == "margin":
-            return float(raw)
-    except ValueError:
-        raise KgcError(f"bad sweep point for axis {axis}: {raw!r}") from None
-    return raw
-
-
-def _sweep_config(base: tr.TrainConfig, axis: str, point) -> tr.TrainConfig:
-    if axis == "negatives-count":
-        return dataclasses.replace(base, max_negatives=point)
-    if axis == "loss-kind":
-        return dataclasses.replace(base, loss_kind=point)
-    if axis == "batch-size":
-        return dataclasses.replace(base, batch_size=point)
-    return dataclasses.replace(base, loss=dataclasses.replace(base.loss, additive_margin=point))
+def _sweep_points(cfg: dict) -> list[tuple[object, tr.TrainConfig]]:
+    """Each point of the sweep with the train config it runs; every point is checked here."""
+    axis = cfg["axis"]
+    flag, default_points = SWEEP_AXES[axis]
+    opt = next(o for o in _TRAIN if o.flag == flag)
+    _train_config(cfg)  # the base options are checked too, the one the axis sets included
+    points = []
+    for raw in filter(None, map(str.strip, (cfg["points"] or default_points).split(","))):
+        try:
+            point = opt.kind(raw)
+        except ValueError:
+            raise KgcError(f"bad sweep point for axis {axis}: {raw!r}") from None
+        points.append((point, _train_config({**cfg, opt.dest: point})))
+    if not points:
+        raise KgcError("sweep needs at least one point")
+    return points
 
 
 def cmd_sweep(cfg: dict) -> int:
     axis = cfg["axis"]
-    raw_points = cfg["points"] or SWEEP_DEFAULT_POINTS[axis]
-    points = [_parse_point(axis, p.strip()) for p in raw_points.split(",") if p.strip()]
-    if not points:
-        raise KgcError("sweep needs at least one point")
+    points, init = _sweep_points(cfg), _fresh_params(cfg)  # every option checked before any output
     os.makedirs(cfg["out_dir"], exist_ok=True)
     g = _load_augmented(cfg)
-    base = _train_config(cfg)
 
     summary = []
-    for point in points:
-        run_cfg = _sweep_config(base, axis, point)
-        params, _ = tr.train(g, _fresh_params(cfg), run_cfg)
-        idx = ev.build_index(g, params, cfg["max_tokens"])
-        report = ev.evaluate(g, idx, params, cfg["split"], None, cfg["max_tokens"]).report()
+    for point, run_cfg in points:
+        params, _ = tr.train(g, init.copy(), run_cfg)
+        idx = ev.build_index(g, params)
+        report = ev.evaluate(g, idx, params, cfg["split"]).report()
         path = os.path.join(cfg["out_dir"], f"{axis}-{point}.json")
         with replace_file(path) as fh:
             fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")

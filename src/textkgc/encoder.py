@@ -34,7 +34,7 @@ DEFAULT_MAX_TOKENS = 50
 INIT_SCALE = 0.05
 DEFAULT_TEMPERATURE = 0.05
 TAU_FLOOR = 1e-3  # the learnable temperature never goes below this
-CHECKPOINT_MAGIC = "kgc-enc v1"
+CHECKPOINT_MAGIC = "kgc-enc v2"
 
 HR_TABLE = "hr"
 TAIL_TABLE = "tail"
@@ -79,11 +79,20 @@ def tokenize_texts(
 
 @dataclass
 class EncoderParams:
-    """All trainable state: two embedding tables plus the log inverse temperature."""
+    """All trainable state: two embedding tables plus the log inverse temperature.
+
+    The token budget every text is cut to is not trained, but it travels with
+    the tables: a model only means something at the budget it was trained with.
+    """
 
     hr_table: np.ndarray
     tail_table: np.ndarray
     log_inv_tau: float
+    max_tokens: int = DEFAULT_MAX_TOKENS
+
+    def __post_init__(self) -> None:
+        if self.max_tokens < 1:
+            raise KgcError(f"token budget must be >= 1, got {self.max_tokens}")
 
     @classmethod
     def initialize(
@@ -92,6 +101,7 @@ class EncoderParams:
         dim: int,
         rng: np.random.Generator,
         initial_temperature: float = DEFAULT_TEMPERATURE,
+        max_tokens: int = DEFAULT_MAX_TOKENS,
     ) -> "EncoderParams":
         if buckets < 2:
             raise KgcError(f"bucket count must be >= 2, got {buckets}")
@@ -102,7 +112,7 @@ class EncoderParams:
             raise KgcError(f"temperature must be a finite number > 0, got {initial_temperature}")
         hr = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(buckets, dim))
         tail = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(buckets, dim))
-        return cls(hr, tail, math.log(1.0 / initial_temperature))
+        return cls(hr, tail, math.log(1.0 / initial_temperature), max_tokens)
 
     @property
     def buckets(self) -> int:
@@ -120,7 +130,7 @@ class EncoderParams:
         raise KgcError(f"unknown table {name!r}")
 
     def copy(self) -> "EncoderParams":
-        return EncoderParams(self.hr_table.copy(), self.tail_table.copy(), self.log_inv_tau)
+        return EncoderParams(self.hr_table.copy(), self.tail_table.copy(), self.log_inv_tau, self.max_tokens)
 
 
 def temperature(log_inv_tau: float) -> float:
@@ -355,7 +365,7 @@ def save_checkpoint(params: EncoderParams, path: str) -> None:
     It is replaced whole or not at all: a failed write leaves ``path`` as it was.
     """
     with replace_file(path) as handle:
-        handle.write(f"{CHECKPOINT_MAGIC} {params.buckets} {params.dim}\n")
+        handle.write(f"{CHECKPOINT_MAGIC} {params.buckets} {params.dim} {params.max_tokens}\n")
         for table in (params.hr_table, params.tail_table):
             for row in table:
                 handle.write(format_row(row) + "\n")
@@ -367,14 +377,15 @@ def load_checkpoint(path: str) -> EncoderParams:
     lines = read_lines(path, CheckpointError)
     header = next(lines, (1, ""))[1]
     try:
-        magic, buckets, dim = header.rsplit(" ", 2)
-        buckets, dim = int(buckets), int(dim)
+        magic, buckets, dim, max_tokens = header.rsplit(" ", 3)
+        buckets, dim, max_tokens = int(buckets), int(dim), int(max_tokens)
     except ValueError:
         magic = None
-    # the 2 * buckets * dim values take at least two bytes each, so this
+    size = os.path.getsize(path)
+    # the 2 * buckets * dim values take at least two bytes each, so a larger
     # claim cannot fit; checked before the tables are allocated, and loose
     # enough that a cut-off file still names the line where it ends
-    if magic != CHECKPOINT_MAGIC or buckets < 2 or dim < 1 or buckets * dim > os.path.getsize(path):
+    if magic != CHECKPOINT_MAGIC or buckets < 2 or dim < 1 or max_tokens < 1 or buckets * dim > size:
         raise CheckpointError(path, 1, f"bad checkpoint header: {header!r}")
     tables = []
     for name in (HR_TABLE, TAIL_TABLE):
@@ -404,4 +415,4 @@ def load_checkpoint(path: str) -> EncoderParams:
         raise CheckpointError(path, lineno, "non-finite temperature")
     if next(lines, None) is not None:
         raise CheckpointError(path, lineno + 1, "trailing data after temperature line")
-    return EncoderParams(tables[0], tables[1], log_inv_tau)
+    return EncoderParams(tables[0], tables[1], log_inv_tau, max_tokens)

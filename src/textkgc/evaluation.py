@@ -61,11 +61,7 @@ class EntityEmbeddingIndex:
             raise KgcError("index entity ids must be strictly increasing")
 
 
-def build_index(
-    g: KnowledgeGraph,
-    params: enc.EncoderParams,
-    max_tokens: int = enc.DEFAULT_MAX_TOKENS,
-) -> EntityEmbeddingIndex:
+def build_index(g: KnowledgeGraph, params: enc.EncoderParams) -> EntityEmbeddingIndex:
     """Encode every entity's augmented description once, in eval mode."""
     ids = list(g.entity_ids)
     if not ids:
@@ -73,16 +69,14 @@ def build_index(
     matrix = np.empty((len(ids), params.dim))
     for start in range(0, len(ids), INDEX_CHUNK):
         chunk = ids[start : start + INDEX_CHUNK]
-        texts = enc.tokenize_texts([augment_description(g, e) for e in chunk], params.buckets, max_tokens)
-        matrix[start : start + len(chunk)] = enc.forward_tail(params, enc.TokenIds.pad(texts)).output
+        texts = [augment_description(g, e) for e in chunk]
+        tokens = enc.tokenize_texts(texts, params.buckets, params.max_tokens)
+        matrix[start : start + len(chunk)] = enc.forward_tail(params, enc.TokenIds.pad(tokens)).output
     return EntityEmbeddingIndex(ids, matrix, forward_passes=len(ids))
 
 
 def query_vector(
-    g: KnowledgeGraph,
-    params: enc.EncoderParams,
-    pairs: Sequence[tuple[str, str]],
-    max_tokens: int = enc.DEFAULT_MAX_TOKENS,
+    g: KnowledgeGraph, params: enc.EncoderParams, pairs: Sequence[tuple[str, str]]
 ) -> np.ndarray:
     """Unit query vectors of (head, relation) pairs, one row per pair.
 
@@ -90,9 +84,10 @@ def query_vector(
     share a forward pass; a row's bits do not depend on the other pairs.
     """
     texts = [text for h, r in pairs for text in (augment_description(g, h), g.relation(r).description)]
-    tokens = enc.tokenize_texts(texts, params.buckets, max_tokens)
+    buckets, max_tokens = params.buckets, params.max_tokens
+    tokens = enc.tokenize_texts(texts, buckets, max_tokens)
     queries = [
-        enc.combine_query_tokens(h, r, params.buckets, max_tokens) for h, r in zip(tokens[0::2], tokens[1::2])
+        enc.combine_query_tokens(h, r, buckets, max_tokens) for h, r in zip(tokens[0::2], tokens[1::2])
     ]
     return np.concatenate([
         enc.forward_hr(params, enc.TokenIds.pad(queries[start : start + INDEX_CHUNK])).output
@@ -135,11 +130,11 @@ def _rank_chunk(
 ) -> np.ndarray:
     """The ``rank_one`` rank of each triple, given its query vector as a row of ``queries``."""
     targets = g.entity_numbers([g.entity(t).id for _, _, t in triples])  # raises for an undeclared target
-    scores = _candidate_scores(g, idx, [h for h, _, _ in triples], queries, rerank)
+    heads = [h for h, _, _ in triples]
+    scores = _candidate_scores(g, idx, heads, queries, rerank)
     rows = np.arange(len(triples))
     kept = np.ones(scores.shape, dtype=bool)
-    for row, (h, r, _) in enumerate(triples):
-        kept[row, g.known_tail_numbers(h, r)] = False
+    kept[g.known_tails(g.entity_numbers(heads), g.relation_numbers([r for _, r, _ in triples]))] = False
     kept[rows, targets] = True
     target_scores = scores[rows, targets][:, None]
     greater = np.count_nonzero(kept & (scores > target_scores), axis=1)
@@ -153,14 +148,13 @@ def rank_one(
     params: enc.EncoderParams,
     triple: Triple,
     rerank: Optional[RerankConfig] = None,
-    max_tokens: int = enc.DEFAULT_MAX_TOKENS,
 ) -> float:
     """Filtered rank of the triple's tail among all entities.
 
     Candidates t' != t with (h, r, t') known in any split are discarded.
     rank = 1 + #{kept strictly above target} + #{kept tied with target}/2.
     """
-    query = query_vector(g, params, [(triple.head, triple.relation)], max_tokens)
+    query = query_vector(g, params, [(triple.head, triple.relation)])
     return float(_rank_chunk(g, idx, [triple], query, rerank)[0])
 
 
@@ -215,7 +209,6 @@ def evaluate(
     params: enc.EncoderParams,
     split: str = "test",
     rerank: Optional[RerankConfig] = None,
-    max_tokens: int = enc.DEFAULT_MAX_TOKENS,
 ) -> RankingResult:
     """Rank every triple of the split in order; inverse rows count as head prediction.
 
@@ -230,7 +223,7 @@ def evaluate(
     if not triples:
         raise KgcError(f"split {split!r} has no triples")
 
-    queries = query_vector(g, params, [(h, r) for h, r, _ in triples], max_tokens)
+    queries = query_vector(g, params, [(h, r) for h, r, _ in triples])
     chunk = max(1, RANK_CELLS // max(1, len(idx.entity_ids)))
     ranked = np.concatenate([
         _rank_chunk(g, idx, triples[start : start + chunk], queries[start : start + chunk], rerank)
@@ -274,7 +267,6 @@ def predict_topk(
     relation: str,
     k: int,
     rerank: Optional[RerankConfig] = None,
-    max_tokens: int = enc.DEFAULT_MAX_TOKENS,
 ) -> list[tuple[str, float, bool]]:
     """Top-k candidates by score, unfiltered; known-true tails are flagged.
 
@@ -283,15 +275,16 @@ def predict_topk(
     """
     if k < 1:
         raise KgcError(f"k must be >= 1, got {k}")
-    query = query_vector(g, params, [(head, relation)], max_tokens)
+    query = query_vector(g, params, [(head, relation)])
     scores = _candidate_scores(g, idx, [head], query, rerank)[0]
     k = min(k, scores.size)
     # every row scoring at least the k-th largest score, ties included, in
     # row order; rows are in id order, so a stable sort breaks ties by id
     shortlist = np.flatnonzero(scores >= np.partition(scores, scores.size - k)[scores.size - k])
     order = shortlist[np.argsort(-scores[shortlist], kind="stable")[:k]]
-    known = set(g.known_tail_numbers(head, relation).tolist())
-    return [(idx.entity_ids[i], float(scores[i]), i in known) for i in order.tolist()]
+    # scalars, not one-element arrays: their arithmetic costs no numpy array operations
+    known = g.known(g.entity_numbers([head])[0], g.relation_numbers([relation])[0], order)
+    return [(idx.entity_ids[i], float(scores[i]), flag) for i, flag in zip(order.tolist(), known.tolist())]
 
 
 def write_embeddings(idx: EntityEmbeddingIndex, path: str) -> None:

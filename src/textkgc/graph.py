@@ -67,7 +67,7 @@ class KnowledgeGraph:
     * the known triples of all splits, as one sorted int64 array of keys
       ``(h * R + r) * E + t``, where h and t number the entities and r the
       relations in sorted-id order and E and R count them; ``known``,
-      ``known_tail_numbers`` and ``is_known_triple`` answer from it
+      ``known_tails`` and ``is_known_triple`` answer from it
 
     Relation categories are computed on first use and kept.
     """
@@ -180,23 +180,25 @@ class KnowledgeGraph:
         """Whether each (head, relation, tail), given as ``entity_numbers`` and
         ``relation_numbers`` arrays that broadcast together, is a triple of
         any split; a negative (undeclared) number is in none."""
-        declared = (heads >= 0) & (relations >= 0) & (tails >= 0)
-        if not self._triple_keys.size:
-            return np.zeros(declared.shape, dtype=bool)
         keys = (heads * len(self._relation_number) + relations) * len(self._entity_number) + tails
-        at = np.minimum(self._triple_keys.searchsorted(keys), self._triple_keys.size - 1)
-        return (self._triple_keys[at] == keys) & declared
+        if not self._triple_keys.size:
+            return np.zeros(np.shape(keys), dtype=bool)
+        found = self._triple_keys.take(self._triple_keys.searchsorted(keys), mode="clip") == keys
+        # a negative number can form the key of another, declared triple
+        return found & ((heads >= 0) & (relations >= 0)) & (tails >= 0)
 
-    def known_tail_numbers(self, head: str, relation: str) -> np.ndarray:
-        """The ``entity_numbers`` of all tails t with (head, relation, t) in
-        any split, increasing."""
-        h = self._entity_number.get(head)
-        r = self._relation_number.get(relation)
-        if h is None or r is None:
-            return np.zeros(0, dtype=np.int64)
+    def known_tails(self, heads: np.ndarray, relations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(query rows, tail numbers) of every t with (heads[i], relations[i], t)
+        in any split, given ``entity_numbers`` and ``relation_numbers``: query by
+        query, tails increasing; an undeclared head or relation has none."""
         keys, E = self._triple_keys, len(self._entity_number)
-        first = (h * len(self._relation_number) + r) * E
-        return keys[keys.searchsorted(first) : keys.searchsorted(first + E)] - first
+        first = (heads * len(self._relation_number) + relations) * E  # each query's key block
+        starts = keys.searchsorted(first)
+        counts = np.where((heads >= 0) & (relations >= 0), keys.searchsorted(first + E) - starts, 0)
+        rows = np.repeat(np.arange(counts.size), counts)
+        # output position j of query i reads key starts[i] + (j - offset of query i)
+        at = np.arange(rows.size) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        return rows, keys[at] - first[rows]
 
     def inverse_of(self, relation_id: str) -> str:
         """Id of the relation pointing the opposite way.

@@ -46,7 +46,6 @@ class TrainConfig:
     negatives: frozenset[str] = frozenset(NEGATIVE_SOURCES)
     pre_batches: int = 2
     seed: int = 42
-    max_tokens: int = enc.DEFAULT_MAX_TOKENS
     max_negatives: Optional[int] = None
     margin_tau_temperature: float = 0.05
     loss: ct.LossConfig = field(default_factory=ct.LossConfig)
@@ -252,8 +251,8 @@ def _pad_rows(rows: Iterable[Sequence[int]], count: int) -> enc.TokenIds:
     return enc.TokenIds.from_flat(np.frombuffer(flat, dtype=np.intc), lengths)
 
 
-def build_token_cache(g: KnowledgeGraph, cfg: TrainConfig, buckets: int) -> TrainTokens:
-    """Tokenize every train triple once.
+def build_token_cache(g: KnowledgeGraph, params: enc.EncoderParams) -> TrainTokens:
+    """Tokenize every train triple once, at the params' bucket count and token budget.
 
     Each distinct text is hashed and padded once, and each distinct (head
     text, relation) query combined and padded once; the three matrices then
@@ -274,7 +273,8 @@ def build_token_cache(g: KnowledgeGraph, cfg: TrainConfig, buckets: int) -> Trai
         dtype=np.int64,
         count=3 * len(triples),
     ).reshape(len(triples), 3)
-    padded = _pad_rows((enc.tokenize(text, buckets, cfg.max_tokens) for text in number), len(number))
+    buckets, max_tokens = params.buckets, params.max_tokens
+    padded = _pad_rows((enc.tokenize(text, buckets, max_tokens) for text in number), len(number))
 
     def tokens_of(row: int) -> list[int]:
         return padded.ids[row, : padded.lengths[row]].tolist()
@@ -282,7 +282,7 @@ def build_token_cache(g: KnowledgeGraph, cfg: TrainConfig, buckets: int) -> Trai
     pairs, query = np.unique(texts[:, 0] * len(number) + texts[:, 1], return_inverse=True)
     heads, relations = np.divmod(pairs, len(number))
     combined = (
-        enc.combine_query_tokens(tokens_of(h), tokens_of(r), buckets, cfg.max_tokens)
+        enc.combine_query_tokens(tokens_of(h), tokens_of(r), buckets, max_tokens)
         for h, r in zip(heads.tolist(), relations.tolist())
     )
     queries = _pad_rows(combined, pairs.size)[query]
@@ -382,7 +382,7 @@ def train(
     dropout_rng = named_stream(cfg.seed, "dropout")
     negative_rng = named_stream(cfg.seed, "negatives")
 
-    tokens = build_token_cache(g, cfg, params.buckets)
+    tokens = build_token_cache(g, params)
     total_steps = _steps_per_epoch(n, cfg.batch_size) * cfg.epochs
 
     use_pb = "pb" in cfg.negatives

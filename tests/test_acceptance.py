@@ -134,7 +134,7 @@ def _instance(k):
         float(rng.uniform(2.0, 3.5)),
     )
     rows = list(g.triples("train"))
-    tokens = build_token_cache(g, cfg, params.buckets)
+    tokens = build_token_cache(g, params)
 
     queue = PreBatchQueue(P * B)
     if P:
@@ -382,8 +382,9 @@ def test_criterion_03_rank_oracle():
             q = query_vector(g, params, [(triple.head, triple.relation)])[0]
             scores = np.einsum("ij,j->i", idx.matrix, q)
             drop = np.zeros(len(idx.entity_ids), dtype=bool)
-            numbered = sorted(g.entities)  # known_tail_numbers counts in sorted-id order
-            for e in (numbered[n] for n in g.known_tail_numbers(triple.head, triple.relation).tolist()):
+            numbered = sorted(g.entities)  # known_tails counts in sorted-id order
+            _, known = g.known_tails(g.entity_numbers([triple.head]), g.relation_numbers([triple.relation]))
+            for e in (numbered[n] for n in known.tolist()):
                 if e != triple.tail:
                     drop[idx.entity_ids.index(e)] = True
             want = _oracle_rank(scores, drop, idx.entity_ids.index(triple.tail))

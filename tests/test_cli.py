@@ -1,13 +1,17 @@
 """The five subcommands, flag/config handling, and the exit-code contract."""
 
+import dataclasses
 import errno
 import json
 
 import numpy as np
 import pytest
 
+from textkgc import encoder as enc
+from textkgc import evaluation as ev
 from textkgc import files
 from textkgc.cli import _OPTS, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from textkgc.graph import add_inverse_triples, load_graph
 
 from conftest import write_dataset
 
@@ -269,6 +273,18 @@ def test_evaluate_missing_checkpoint(trained, tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("fault", ["missing", "corrupt"])
+def test_evaluate_reads_its_checkpoint_before_it_writes_a_load_report(trained, tmp_path, capsys, fault):
+    flags, _ = trained
+    checkpoint = tmp_path / "bad.tsv"
+    if fault == "corrupt":
+        checkpoint.write_text("kgc-enc v1 256 8\n")
+    report = tmp_path / "load.json"
+    code = main(["evaluate", *flags, "--checkpoint", str(checkpoint), "--load-report", str(report)])
+    assert code == EXIT_USAGE and capsys.readouterr().err.startswith("error: ")
+    assert not report.exists()
+
+
 def test_evaluate_precomputed_embeddings(trained, tmp_path, capsys):
     flags, out = trained
     vectors = tmp_path / "vectors.tsv"
@@ -406,6 +422,26 @@ def test_sweep_rejects_bad_point(tmp_path, capsys):
     code = main(["sweep", *flags, *FAST_TRAIN, "--axis", "batch-size",
                  "--points", "64,noodle", "--out-dir", str(tmp_path / "s")])
     assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: bad sweep point for axis batch-size: 'noodle'\n"
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize(
+    "axis, points, message",
+    [
+        ("batch-size", "64,1", "batch size must be >= 2, got 1"),
+        ("negatives-count", "5,0", "negative cap must be >= 1, got 0"),
+        ("loss-kind", "infonce,bogus", "loss kind must be one of"),
+        ("margin", "0.02,nan", "additive margin must be a finite number >= 0"),
+    ],
+)
+def test_sweep_checks_every_point_before_it_trains_one(tmp_path, capsys, axis, points, message):
+    # the good first point would train and write its report if points were checked as they ran
+    flags = data_flags(tmp_path)
+    out_dir = tmp_path / "sweep"
+    code = main(["sweep", *flags, *FAST_TRAIN, "--axis", axis, "--points", points, "--out-dir", str(out_dir)])
+    _assert_one_usage_error(code, capsys, message)
+    assert not out_dir.exists()
 
 
 # -- flags, config files, usage ----------------------------------------------
@@ -511,6 +547,99 @@ def test_a_config_seed_is_ignored_by_evaluate(trained, tmp_path):
                  "--output", str(report)]) == EXIT_OK
 
 
+# -- the token budget travels with the model -----------------------------------
+
+
+@pytest.fixture(scope="module")
+def trained_at_six(tmp_path_factory):
+    """A model trained with a token budget of 6, below the length of most texts."""
+    tmp = tmp_path_factory.mktemp("budget")
+    flags = data_flags(tmp)
+    out = tmp / "model.tsv"
+    assert main(["train", *flags, *FAST_TRAIN, "--max-tokens", "6", "--out", str(out)]) == EXIT_OK
+    return flags, out
+
+
+def _cli_outputs(flags, checkpoint, out_dir, capsys, extra=()):
+    """The bytes of evaluate (plain and re-ranked), predict and export-embeddings."""
+    outputs = {}
+    for name, argv in {
+        "evaluate": ["evaluate", "--output", str(out_dir / "plain.json")],
+        "rerank": ["evaluate", "--rerank", "--output", str(out_dir / "rerank.json")],
+        "predict": ["predict", "--head", "p0", "--relation", "lives_in", "--topk", "12"],
+        "export": ["export-embeddings", "--out", str(out_dir / "vectors.tsv")],
+    }.items():
+        capsys.readouterr()
+        assert main([*argv, *flags, "--checkpoint", str(checkpoint), *extra]) == EXIT_OK
+        printed = capsys.readouterr().out.encode()
+        path = argv[-1] if name != "predict" else None
+        outputs[name] = printed if path is None else open(path, "rb").read()
+    return outputs
+
+
+def _api_outputs(flags, params, out_dir):
+    """The same four outputs computed through the library at ``params.max_tokens``."""
+    g = add_inverse_triples(load_graph(*flags[1::2]))
+    idx = ev.build_index(g, params)
+    reports = {
+        name: json.dumps(ev.evaluate(g, idx, params, "test", rerank).report(), indent=2, sort_keys=True) + "\n"
+        for name, rerank in (("evaluate", None), ("rerank", ev.RerankConfig()))
+    }
+    rows = ev.predict_topk(g, idx, params, "p0", "lives_in", 12)
+    predicted = "".join(
+        f"{pos}\t{e}\t{score!r}\t{'true' if known else 'false'}\n" for pos, (e, score, known) in enumerate(rows, 1)
+    )
+    ev.write_embeddings(idx, str(out_dir / "api.tsv"))
+    return {
+        "evaluate": reports["evaluate"].encode(),
+        "rerank": reports["rerank"].encode(),
+        "predict": predicted.encode(),
+        "export": (out_dir / "api.tsv").read_bytes(),
+    }
+
+
+def test_the_other_commands_read_the_budget_from_the_checkpoint(trained_at_six, tmp_path, capsys):
+    flags, checkpoint = trained_at_six
+    params = enc.load_checkpoint(str(checkpoint))
+    assert params.max_tokens == 6
+    assert checkpoint.read_text().split("\n", 1)[0] == "kgc-enc v2 256 8 6"
+    at_six = _cli_outputs(flags, checkpoint, tmp_path, capsys)
+    assert at_six == _api_outputs(flags, params, tmp_path)
+    # the same tables with the default budget in the header rank as that budget does
+    lines = checkpoint.read_text().split("\n", 1)
+    default = tmp_path / "default.tsv"
+    default.write_text(f"kgc-enc v2 256 8 {enc.DEFAULT_MAX_TOKENS}\n{lines[1]}")
+    at_default = _cli_outputs(flags, default, tmp_path, capsys)
+    assert at_default == _api_outputs(flags, dataclasses.replace(params, max_tokens=enc.DEFAULT_MAX_TOKENS), tmp_path)
+    assert all(at_six[name] != at_default[name] for name in at_six)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict", "export-embeddings"])
+def test_max_tokens_is_an_option_of_train_and_sweep_only(trained_at_six, tmp_path, capsys, command):
+    flags, checkpoint = trained_at_six
+    capsys.readouterr()
+    extra = ["--head", "p0", "--relation", "lives_in"] if command == "predict" else []
+    code = main([command, *flags, "--checkpoint", str(checkpoint), *extra, "--max-tokens", "6"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        "textkgc: error: unrecognized arguments: --max-tokens 6"
+    ]
+
+
+def test_a_config_max_tokens_is_ignored_by_the_commands_that_load_a_checkpoint(trained_at_six, tmp_path, capsys):
+    flags, checkpoint = trained_at_six
+    config = tmp_path / "run.conf"
+    config.write_text("max-tokens = 0\n")  # not even checked: only train and sweep read it
+    assert _cli_outputs(flags, checkpoint, tmp_path, capsys, ["--config", str(config)]) == _cli_outputs(
+        flags, checkpoint, tmp_path, capsys
+    )
+    config.write_text("max-tokens = 4\n")
+    out = tmp_path / "m.tsv"
+    assert main(["train", *flags, *FAST_TRAIN, "--config", str(config), "--out", str(out)]) == EXIT_OK
+    assert out.read_text().split("\n", 1)[0] == "kgc-enc v2 256 8 4"
+
+
 # -- every numeric option, every command ---------------------------------------
 
 # options for which 0 is a valid value; every other numeric option needs a
@@ -547,13 +676,14 @@ def trained_once(tmp_path_factory):
 
 def _command_line(command, flags, checkpoint, out_dir):
     """A run of ``command`` that succeeds and writes its outputs under ``out_dir``."""
+    report = ["--load-report", str(out_dir / "load.json")]
     if command == "train":
-        return ["train", *flags, *FAST_TRAIN, "--out", str(out_dir / "m.tsv")]
+        return ["train", *flags, *FAST_TRAIN, "--out", str(out_dir / "m.tsv"), *report]
     if command == "sweep":
         return ["sweep", *flags, *FAST_TRAIN, "--axis", "loss-kind", "--points", "infonce",
                 "--out-dir", str(out_dir / "sweep")]
     extra = {
-        "evaluate": ["--output", str(out_dir / "report.json")],
+        "evaluate": ["--output", str(out_dir / "report.json"), *report],
         "predict": ["--head", "p0", "--relation", "lives_in"],
         "export-embeddings": ["--out", str(out_dir / "vectors.tsv")],
     }[command]
@@ -569,6 +699,8 @@ def test_the_error_path_command_lines_succeed(trained_once, tmp_path, capsys, co
         assert len(capsys.readouterr().out.splitlines()) == 10  # its candidates
     else:
         assert list(tmp_path.iterdir())
+    # so the bad draws below also show that a usage error writes no load report
+    assert (tmp_path / "load.json").exists() == (command in ("train", "evaluate"))
 
 
 @pytest.mark.parametrize("command, flag, value", BAD_OPTION_DRAWS)
@@ -623,8 +755,6 @@ def test_a_failed_write_keeps_the_old_file(trained_once, tmp_path, capsys, monke
     flags, checkpoint = trained_once
     command, name = OUTPUT_KINDS[kind]
     argv = _command_line(command, flags, checkpoint, tmp_path)
-    if kind == "load-report":
-        argv += ["--load-report", str(tmp_path / name)]
     target = tmp_path / name
     assert main(argv) == EXIT_OK
     before = target.read_bytes()

@@ -124,6 +124,17 @@ def test_initialize_rejects_temperatures_without_a_finite_log(value):
     assert math.isfinite(tiny_params(initial_temperature=1e-300).log_inv_tau)
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_every_construction_rejects_a_token_budget_below_one(budget):
+    with pytest.raises(KgcError, match=f"token budget must be >= 1, got {budget}"):
+        EncoderParams.initialize(4, 2, named_stream(0, "init"), max_tokens=budget)
+    p = tiny_params(buckets=4, dim=2)
+    with pytest.raises(KgcError, match=f"token budget must be >= 1, got {budget}"):
+        EncoderParams(p.hr_table, p.tail_table, p.log_inv_tau, budget)
+    assert p.max_tokens == DEFAULT_MAX_TOKENS and p.copy().max_tokens == DEFAULT_MAX_TOKENS
+    assert EncoderParams(p.hr_table, p.tail_table, p.log_inv_tau, 1).copy().max_tokens == 1
+
+
 def test_encode_tail_of_identical_rows_is_direction():
     p = tiny_params(buckets=8, dim=4)
     v = np.array([3.0, 0.0, 4.0, 0.0])
@@ -469,8 +480,19 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(loaded.hr_table, p.hr_table)
     assert np.array_equal(loaded.tail_table, p.tail_table)
     assert loaded.log_inv_tau == p.log_inv_tau
+    assert loaded.max_tokens == p.max_tokens == DEFAULT_MAX_TOKENS
     save_checkpoint(loaded, str(tmp_path / "ck2.tsv"))
     assert (tmp_path / "ck.tsv").read_bytes() == (tmp_path / "ck2.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("budget", [1, 7, 10**6])
+def test_checkpoint_round_trip_keeps_the_token_budget(tmp_path, budget):
+    p = EncoderParams.initialize(6, 3, named_stream(13, "init"), max_tokens=budget)
+    path = str(tmp_path / "ck.tsv")
+    save_checkpoint(p, path)
+    loaded = load_checkpoint(path)
+    assert loaded.max_tokens == p.max_tokens == budget
+    assert np.array_equal(loaded.hr_table, p.hr_table) and np.array_equal(loaded.tail_table, p.tail_table)
 
 
 def test_checkpoint_failed_write_keeps_the_old_file(tmp_path):
@@ -496,21 +518,52 @@ def test_checkpoint_header_layout(tmp_path):
     path = tmp_path / "ck.tsv"
     save_checkpoint(p, str(path))
     lines = path.read_text().splitlines()
-    assert lines[0] == f"{CHECKPOINT_MAGIC} 4 2"
+    assert CHECKPOINT_MAGIC == "kgc-enc v2"
+    assert lines[0] == f"kgc-enc v2 4 2 {DEFAULT_MAX_TOKENS}"  # magic, buckets, dim, token budget
     assert len(lines) == 1 + 4 + 4 + 1
     assert lines[-1].startswith("log_inv_tau ")
+    save_checkpoint(EncoderParams(p.hr_table, p.tail_table, p.log_inv_tau, 6), str(path))
+    assert path.read_text().splitlines() == ["kgc-enc v2 4 2 6", *lines[1:]]  # only line 1 differs
 
 
 def test_checkpoint_corrupt_header(tmp_path):
     path = tmp_path / "ck.tsv"
-    path.write_text("kgc-enc v2 4 2\n")
+    path.write_text("kgc-enc v2 4 2\n")  # the budget field missing
     with pytest.raises(CheckpointError, match="header"):
         load_checkpoint(str(path))
-    path.write_text("kgc-enc v1 4\n")
+    path.write_text("kgc-enc v2 4\n")
     with pytest.raises(CheckpointError, match="header"):
         load_checkpoint(str(path))
-    path.write_text("kgc-enc v1 1 2\n")
+    path.write_text("kgc-enc v2 1 2 50\n")
     with pytest.raises(CheckpointError, match="header"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "kgc-enc v2 4 2 0",  # a budget of 0
+        "kgc-enc v2 4 2 -5",
+        "kgc-enc v2 4 2 6.5",  # a budget that is not an integer
+        "kgc-enc v2 4 2 six",
+        "kgc-enc v2 4 2",  # the budget field missing
+        "kgc-enc v2 4 2 ",
+        "kgc-enc v1 4 2",  # the v1 layout: its files are not read
+        "kgc-enc v1 4 2 50",
+        "kgc-enc v3 4 2 50",
+        "kgc-enc v2 1 2 50",
+        "kgc-enc v2 4 0 50",
+    ],
+)
+def test_checkpoint_header_faults_are_named_at_line_one(tmp_path, header):
+    path = tmp_path / "ck.tsv"
+    save_checkpoint(tiny_params(buckets=4, dim=2), str(path))
+    body = path.read_text().split("\n", 1)[1]
+    path.write_text(f"{header}\n{body}")
+    with pytest.raises(CheckpointError, match=f"ck.tsv:1: bad checkpoint header: '{header}'"):
+        load_checkpoint(str(path))
+    path.write_text(f"{header}\n")
+    with pytest.raises(CheckpointError, match="ck.tsv:1: bad checkpoint header"):
         load_checkpoint(str(path))
 
 
@@ -553,7 +606,7 @@ def test_checkpoint_errors_name_path_and_line(tmp_path):
     lines = good.split(b"\n")
     # a header claiming far more values than the file holds is rejected
     # before any table is allocated
-    path.write_bytes(b"kgc-enc v1 99999999999999 8\n" + b"\n".join(lines[1:]))
+    path.write_bytes(b"kgc-enc v2 99999999999999 8 50\n" + b"\n".join(lines[1:]))
     with pytest.raises(CheckpointError, match="ck.tsv:1: bad checkpoint header"):
         load_checkpoint(str(path))
     path.write_bytes(b"\n".join(lines[:5] + [lines[5] + b"\xff"] + lines[6:]))

@@ -227,8 +227,9 @@ def test_rank_one_matches_exhaustive_oracle():
             q = query_vector(g, params, [(triple.head, triple.relation)])[0]
             scores = np.einsum("ij,j->i", idx.matrix, q)
             target = scores[idx.entity_ids.index(triple.tail)]
-            numbered = sorted(g.entities)  # known_tail_numbers counts in sorted-id order
-            known = {numbered[n] for n in g.known_tail_numbers(triple.head, triple.relation).tolist()}
+            numbered = sorted(g.entities)  # known_tails counts in sorted-id order
+            _, tails = g.known_tails(g.entity_numbers([triple.head]), g.relation_numbers([triple.relation]))
+            known = {numbered[n] for n in tails.tolist()}
             kept = [
                 s for e, s in zip(idx.entity_ids, scores)
                 if e == triple.tail or e not in known

@@ -383,10 +383,17 @@ def test_is_known_triple_no_false_positives(rng):
         assert is_known_triple(g, probe) == (probe in truth)
 
 
+def _tails_of(g, head, relation):
+    """``known_tails`` of one query, as a list of tail numbers."""
+    rows, tails = g.known_tails(g.entity_numbers([head]), g.relation_numbers([relation]))
+    assert rows.tolist() == [0] * len(tails)
+    return tails.tolist()
+
+
 def test_known_tails_accumulates_across_splits():
     g = make_graph(train=[("a", "r", "b")], valid=[("a", "r", "c")], test=[("a", "r", "d")])
-    assert g.known_tail_numbers("a", "r").tolist() == [1, 2, 3]  # b, c, d
-    assert g.known_tail_numbers("b", "r").tolist() == []
+    assert _tails_of(g, "a", "r") == [1, 2, 3]  # b, c, d
+    assert _tails_of(g, "b", "r") == []
 
 
 def test_known_answers_whole_arrays():
@@ -402,15 +409,32 @@ def test_known_answers_whole_arrays():
         [False, False, False, False],  # an undeclared head is in no known triple
     ]
     assert g.known(heads, relations, heads).tolist() == [False, False, False]
-    assert g.known_tail_numbers("a", "r").tolist() == [1, 2]
-    assert g.known_tail_numbers("c", "s").tolist() == [0]
-    assert g.known_tail_numbers("zz", "r").tolist() == []
-    assert g.known_tail_numbers("a", "nope").tolist() == []
+    assert _tails_of(g, "a", "r") == [1, 2]
+    assert _tails_of(g, "c", "s") == [0]
+    assert _tails_of(g, "zz", "r") == []
+    assert _tails_of(g, "a", "nope") == []
+    # a whole batch at once, with undeclared ids and a query without tails among them
+    rows, tails = g.known_tails(heads, relations)
+    assert rows.tolist() == [0, 0, 1] and tails.tolist() == [1, 2, 0]
+    heads, relations = g.entity_numbers(["zz", "c", "b", "a"]), g.relation_numbers(["r", "s", "r", "r"])
+    rows, tails = g.known_tails(heads, relations)
+    assert rows.tolist() == [1, 3, 3] and tails.tolist() == [0, 1, 2]
     assert is_known_triple(g, ("c", "s", "a")) and not is_known_triple(g, ("a", "s", "c"))
     assert not is_known_triple(g, ("zz", "r", "zz"))
     empty = KnowledgeGraph([Entity("a", "A")], [Relation("r", "r")], {})
     assert empty.known(0, 0, np.array([0, -1])).tolist() == [False, False]
-    assert empty.known_tail_numbers("a", "r").tolist() == []
+    assert _tails_of(empty, "a", "r") == []
+    rows, tails = empty.known_tails(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    assert rows.size == tails.size == 0
+
+
+def test_known_tails_of_an_undeclared_relation_never_read_another_key_block():
+    # the key block of (b, undeclared) starts at (1 * R - 1) * E, where the
+    # block of (a, s) starts; it must still have no tails
+    g = make_graph(train=[("a", "s", "b"), ("a", "r", "a")])
+    assert _tails_of(g, "a", "s") == [1]
+    assert _tails_of(g, "b", "nope") == []
+    assert _tails_of(g, "zz", "s") == []
 
 
 def test_adjacency_covers_train_only():

@@ -1,10 +1,13 @@
-"""Property tests: the whole-array candidate mask, top-k selection and
-chunked ranking against per-cell and sort-based references kept here, the
-numbered neighbor walks (text augmentation and the re-rank boost) against
-string-set references kept here, the encoder's backward scatter and the
-touched-row optimizer update against the ``np.add.at`` and dense references
-in conftest, and the loaders fed corrupted files."""
+"""Property tests: the whole-array candidate mask, the batched known-tail
+lookup, top-k selection and chunked ranking against per-cell, per-query and
+sort-based references kept here, the three losses' gradients against
+central differences, the numbered neighbor walks (text augmentation and the
+re-rank boost) against string-set references kept here, the encoder's
+backward scatter and the touched-row optimizer update against the
+``np.add.at`` and dense references in conftest, and the loaders fed
+corrupted files."""
 
+import math
 import re
 
 import numpy as np
@@ -12,12 +15,24 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from textkgc import evaluation as ev
-from textkgc.contrastive import PreBatchQueue, TrainingBatch, assemble_candidates
+from textkgc.contrastive import (
+    IN_BATCH,
+    PRE_BATCH,
+    SELF_NEGATIVE,
+    LossConfig,
+    PreBatchQueue,
+    TrainingBatch,
+    assemble_candidates,
+    infonce_loss,
+    margin_loss,
+    margin_tau_loss,
+)
 from textkgc.encoder import (
+    TAU_FLOOR,
     GradientBuffer,
     TokenIds,
     combine_query_tokens,
@@ -53,6 +68,7 @@ from conftest import (
     dense_apply_update,
     make_graph,
     optimizer_bytes,
+    plain_matrix,
     reference_encode_backward,
     tiny_params,
     write_dataset,
@@ -119,6 +135,36 @@ def test_assemble_mask_matches_per_cell_reference(
     assert np.array_equal(m.mask, _reference_mask(g, batch.rows, queue.entity_ids, use_self_negatives))
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    train=st.lists(_triples, max_size=12),
+    valid=st.lists(_triples, max_size=4),
+    test=st.lists(_triples, max_size=4),
+    queries=st.lists(
+        st.tuples(st.sampled_from(ENTITY_POOL + UNDECLARED), st.sampled_from(["r", "s", "undeclared"])),
+        max_size=8,
+    ),
+)
+def test_known_tails_match_each_querys_key_slice(train, valid, test, queries):
+    # the whole-batch lookup against one key-block slice per query, and both
+    # against the split triples themselves
+    g = make_graph(train=train, valid=valid, test=test)
+    heads = g.entity_numbers([h for h, _ in queries])
+    relations = g.relation_numbers([r for _, r in queries])
+    rows, tails = g.known_tails(heads, relations)
+    keys, E, R = g._triple_keys, len(g.entity_ids), len(g.relations)
+    known = {trip for split in SPLITS for trip in g.triples(split)}
+    for i, (h, r) in enumerate(queries):
+        if heads[i] < 0 or relations[i] < 0:
+            want = []
+        else:
+            first = (int(heads[i]) * R + int(relations[i])) * E
+            want = (keys[keys.searchsorted(first) : keys.searchsorted(first + E)] - first).tolist()
+        assert tails[rows == i].tolist() == want
+        assert [g.entity_ids[t] for t in want] == sorted(t for t in g.entity_ids if (h, r, t) in known)
+    assert np.all(np.diff(rows) >= 0) and rows.size == tails.size
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     levels=st.lists(st.integers(0, 3), min_size=2, max_size=12),
@@ -138,9 +184,122 @@ def test_predict_topk_matches_sorted_reference(levels, k, rerank):
 
     scores = ev._candidate_scores(g, idx, [ids[0]], q, cfg)[0]
     order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))[:k]
-    known = {ids[n] for n in g.known_tail_numbers(ids[0], "r").tolist()}  # ids are sorted
+    _, tails = g.known_tails(g.entity_numbers(ids[:1]), g.relation_numbers(["r"]))
+    known = {ids[n] for n in tails.tolist()}  # ids are sorted
     want = [(ids[i], float(scores[i]), ids[i] in known) for i in order]
     assert predict_topk(g, idx, params, ids[0], "r", k, cfg) == want
+
+
+# -- loss gradients against central differences -----------------------------------
+
+_loss_matrices = dict(
+    seed=st.integers(0, 2**32 - 1),
+    B=st.integers(1, 4),
+    extra=st.integers(0, 4),  # queue and self-negative columns after the B in-batch ones
+    empty_rows=st.integers(0, 2),  # leading rows left with no unmasked negative
+)
+
+
+def _loss_matrix(seed, B, extra, empty_rows, scale=1.0):
+    rng = np.random.default_rng(seed)
+    C = B + extra
+    mask = rng.random((B, C)) < 0.7
+    mask[:empty_rows] = False
+    mask[np.arange(B), np.arange(B)] = True
+    provenance = [IN_BATCH] * B + list(rng.choice([PRE_BATCH, SELF_NEGATIVE], size=extra))
+    return plain_matrix(rng.uniform(-scale, scale, size=(B, C)), provenance=provenance, mask=mask)
+
+
+def _central_differences(loss, m, step):
+    """d loss / d score of every cell, by central differences."""
+    out = np.zeros(m.size)
+    for cell in np.ndindex(*m.size):
+        orig = m.scores[cell]
+        m.scores[cell] = orig + step
+        hi = loss(m)
+        m.scores[cell] = orig - step
+        lo = loss(m)
+        m.scores[cell] = orig
+        out[cell] = (hi - lo) / (2 * step)
+    return out
+
+
+def _assert_gradients_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6 * max(1.0, np.abs(want).max(initial=0.0)))
+
+
+def _negatives(m):
+    """The unmasked cells off the diagonal."""
+    B = m.num_in_batch
+    negatives = m.mask.copy()
+    negatives[np.arange(B), np.arange(B)] = False
+    return negatives
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    **_loss_matrices,
+    at_floor=st.booleans(),
+    log_inv_tau=st.floats(0.5, 3.0),
+    pre_batch_weight=st.floats(0.05, 1.0),
+    additive_margin=st.floats(0.0, 0.1),
+)
+def test_infonce_gradients_match_central_differences(
+    seed, B, extra, empty_rows, at_floor, log_inv_tau, pre_batch_weight, additive_margin
+):
+    # at the floor the logits are 1000x the scores, so the scores are drawn
+    # small and the step scales with tau
+    if at_floor:
+        log_inv_tau = -math.log(TAU_FLOOR) + log_inv_tau  # tau below the floor, clamped to it
+    tau = max(math.exp(-log_inv_tau), TAU_FLOOR)
+    m = _loss_matrix(seed, B, extra, empty_rows, scale=0.01 if at_floor else 1.0)
+    cfg = LossConfig(additive_margin=additive_margin, pre_batch_weight=pre_batch_weight)
+    _, grads, grad_tau = infonce_loss(m, cfg, log_inv_tau)
+    want = _central_differences(lambda mm: infonce_loss(mm, cfg, log_inv_tau)[0], m, 1e-5 * tau)
+    _assert_gradients_close(grads, want)
+    step = 1e-6
+    hi, lo = (infonce_loss(m, cfg, log_inv_tau + d)[0] for d in (step, -step))
+    if at_floor:
+        assert grad_tau == 0.0 and hi == lo  # a clamped tau does not move the loss
+    else:
+        assert grad_tau == pytest.approx((hi - lo) / (2 * step), rel=1e-5, abs=1e-7)
+    assert not grads[:empty_rows].any()  # a row with only its positive has no loss to move
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_loss_matrices, hinge_margin=st.floats(0.1, 1.5))
+def test_margin_loss_gradients_match_central_differences(seed, B, extra, empty_rows, hinge_margin):
+    m = _loss_matrix(seed, B, extra, empty_rows)
+    cfg = LossConfig(hinge_margin=hinge_margin)
+    violation = hinge_margin + m.scores - np.diag(m.scores)[:, None]
+    assume(np.all(np.abs(violation[_negatives(m)]) > 1e-4))  # no central difference at the kink
+    _, grads = margin_loss(m, cfg)
+    _assert_gradients_close(grads, _central_differences(lambda mm: margin_loss(mm, cfg)[0], m, 1e-6))
+    assert not grads[:empty_rows].any()
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_loss_matrices, hinge_margin=st.floats(0.1, 1.5), tau=st.floats(0.02, 1.0))
+def test_margin_tau_gradients_match_central_differences(seed, B, extra, empty_rows, hinge_margin, tau):
+    # the defined gradient holds each row's softmax weights constant, so the
+    # reference differentiates the hinge sum under weights computed here once
+    m = _loss_matrix(seed, B, extra, empty_rows)
+    cfg = LossConfig(hinge_margin=hinge_margin)
+    negatives = _negatives(m)
+    violation = hinge_margin + m.scores - np.diag(m.scores)[:, None]
+    assume(np.all(np.abs(violation[negatives]) > 1e-4))
+    hinged = np.where(negatives, np.maximum(violation, 0.0), 0.0)
+    weights = np.where(negatives, np.exp(hinged / tau), 0.0)
+    weights /= np.where(negatives.any(axis=1), weights.sum(axis=1), 1.0)[:, None]
+
+    def frozen(mm):
+        v = hinge_margin + mm.scores - np.diag(mm.scores)[:, None]
+        return float((weights * np.where(negatives, np.maximum(v, 0.0), 0.0)).sum() / B)
+
+    loss, grads = margin_tau_loss(m, cfg, tau)
+    assert loss == pytest.approx(frozen(m), rel=1e-12, abs=1e-15)
+    _assert_gradients_close(grads, _central_differences(frozen, m, 1e-6))
+    assert not grads[:empty_rows].any()
 
 
 # -- numbered neighbor walks -----------------------------------------------------

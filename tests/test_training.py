@@ -32,8 +32,8 @@ import synth
 from conftest import dense_apply_update, make_graph, optimizer_bytes, tiny_params
 
 
-def fresh_params(seed=7, buckets=64, dim=8):
-    return EncoderParams.initialize(buckets, dim, named_stream(seed, "init"))
+def fresh_params(seed=7, buckets=64, dim=8, max_tokens=enc.DEFAULT_MAX_TOKENS):
+    return EncoderParams.initialize(buckets, dim, named_stream(seed, "init"), max_tokens=max_tokens)
 
 
 def small_config(**kw):
@@ -46,7 +46,6 @@ def small_config(**kw):
         negatives=frozenset({"ib"}),
         pre_batches=0,
         seed=42,
-        max_tokens=50,
     )
     base.update(kw)
     return TrainConfig(**base)
@@ -375,7 +374,7 @@ def test_train_config_normalizes_negatives_case():
 
 def test_token_cache_holds_one_padded_matrix_per_role(monkeypatch):
     g = chain_graph(4)
-    cfg = small_config(max_tokens=6)
+    params = fresh_params(buckets=64, max_tokens=6)
     original = enc.tokenize
     hashed = []
 
@@ -384,10 +383,10 @@ def test_token_cache_holds_one_padded_matrix_per_role(monkeypatch):
         return original(text, *args)
 
     monkeypatch.setattr(enc, "tokenize", counted)
-    cache = build_token_cache(g, cfg, buckets=64)
+    cache = build_token_cache(g, params)
     assert len(hashed) == len(set(hashed))  # each distinct text once per call
     first = len(hashed)
-    build_token_cache(g, cfg, buckets=64)
+    build_token_cache(g, params)
     assert len(hashed) == 2 * first  # nothing is kept between calls
 
     def row(tokens, i):
@@ -406,23 +405,22 @@ def test_token_cache_holds_one_padded_matrix_per_role(monkeypatch):
     assert row(picked.tail, 0) == row(cache.tail, 3) and row(picked.tail, 1) == row(cache.tail, 0)
 
 
-def _per_triple_token_cache(g, cfg, buckets):
+def _per_triple_token_cache(g, buckets, max_tokens):
     """The token cache built from one token list per triple and role, padded at the end."""
     heads, relations, tails = [], [], []
     for h, r, t in g.triples("train"):
-        heads.append(enc.tokenize(augment_description(g, h, exclude=t), buckets, cfg.max_tokens))
-        relations.append(enc.tokenize(g.relation(r).description, buckets, cfg.max_tokens))
-        tails.append(enc.tokenize(augment_description(g, t, exclude=h), buckets, cfg.max_tokens))
-    queries = [enc.combine_query_tokens(h, r, buckets, cfg.max_tokens) for h, r in zip(heads, relations)]
+        heads.append(enc.tokenize(augment_description(g, h, exclude=t), buckets, max_tokens))
+        relations.append(enc.tokenize(g.relation(r).description, buckets, max_tokens))
+        tails.append(enc.tokenize(augment_description(g, t, exclude=h), buckets, max_tokens))
+    queries = [enc.combine_query_tokens(h, r, buckets, max_tokens) for h, r in zip(heads, relations)]
     return enc.TokenIds.pad(queries), enc.TokenIds.pad(tails), enc.TokenIds.pad(heads)
 
 
 @pytest.mark.parametrize("max_tokens", [3, 6, 50])
 def test_token_cache_is_byte_identical_to_per_triple_padding(max_tokens):
-    cfg = small_config(max_tokens=max_tokens)
     for g, buckets in ((chain_graph(5), 64), (synth.pattern_graph(), 512)):
-        cache = build_token_cache(g, cfg, buckets)
-        reference = _per_triple_token_cache(g, cfg, buckets)
+        cache = build_token_cache(g, fresh_params(buckets=buckets, max_tokens=max_tokens))
+        reference = _per_triple_token_cache(g, buckets, max_tokens)
         for got, want in zip((cache.query, cache.tail, cache.head), reference):
             assert got.ids.dtype == want.ids.dtype and got.ids.shape == want.ids.shape
             assert got.ids.tobytes() == want.ids.tobytes()
@@ -436,7 +434,7 @@ def test_token_cache_is_byte_identical_to_per_triple_padding(max_tokens):
 def test_run_batch_forward_pass_accounting(encoded_rows):
     g = chain_graph(6)
     params = tiny_params(buckets=64, dim=8)
-    tokens = build_token_cache(g, small_config(), buckets=64)[:4]
+    tokens = build_token_cache(g, params)[:4]
     rows = g.triples("train")[:4]
     rng = np.random.default_rng(0)
 
@@ -454,7 +452,7 @@ def test_run_batch_matches_scalar_cross_check():
     g = chain_graph(4)
     params = tiny_params(buckets=64, dim=8)
     cfg = small_config(batch_size=2)
-    tokens = build_token_cache(g, cfg, buckets=64)[:2]
+    tokens = build_token_cache(g, params)[:2]
     rows = g.triples("train")[:2]
     rng = np.random.default_rng(0)
     loss, buf, matrix, batch = run_batch(g, params, rows, tokens, PreBatchQueue(0), cfg, rng)
@@ -477,7 +475,7 @@ def test_run_batch_requires_rng_for_negative_cap():
     g = chain_graph(6)
     params = tiny_params(buckets=64, dim=8)
     cfg = small_config(max_negatives=2)
-    tokens = build_token_cache(g, cfg, buckets=64)[:4]
+    tokens = build_token_cache(g, params)[:4]
     rows = g.triples("train")[:4]
     with pytest.raises(KgcError, match="negative"):
         run_batch(g, params, rows, tokens, PreBatchQueue(0), cfg, np.random.default_rng(0))
