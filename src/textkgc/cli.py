@@ -47,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
 @dataclass(frozen=True)
 class _Opt:
     flag: str
-    kind: object  # int, float, str, or the string "bool"
+    kind: type  # int, float or str
     default: object
     help: str
     choices: Optional[tuple] = None
@@ -101,8 +101,7 @@ _TRAIN = _MODEL + [
     _Opt("--margin-tau-temperature", float, 0.05, "weighting temperature for margin_tau"),
 ]
 _RERANK = [
-    _Opt("--rerank", "bool", False, "boost the head's k-hop train neighborhood"),
-    _Opt("--alpha", float, 0.05, "re-ranking score boost"),
+    _Opt("--alpha", float, 0.0, "re-ranking boost on the head's k-hop train neighborhood; 0 is off"),
     _Opt("--hops", int, 2, "re-ranking hop radius"),
 ]
 
@@ -166,10 +165,7 @@ def build_parser() -> _Parser:
     for command, opts in _OPTS.items():
         sub = subs.add_parser(command, help=_SUMMARIES[command])
         for o in opts:
-            if o.kind == "bool":
-                sub.add_argument(o.flag, action="store_true", default=None, help=_opt_help(o))
-            else:
-                sub.add_argument(o.flag, type=o.kind, default=None, help=_opt_help(o))
+            sub.add_argument(o.flag, type=o.kind, default=None, help=_opt_help(o))
     return parser
 
 
@@ -186,19 +182,8 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _as_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(lowered)
-
-
 def _coerce(o: _Opt, text: str):
     try:
-        if o.kind == "bool":
-            return _as_bool(text)
         return o.kind(text)
     except ValueError:
         raise KgcError(f"bad config value for {o.flag}: {text!r}") from None
@@ -260,12 +245,6 @@ def _fresh_params(cfg: dict) -> enc.EncoderParams:
     )
 
 
-def _rerank_config(cfg: dict) -> Optional[ev.RerankConfig]:
-    """The re-rank settings under ``--rerank``, else None; checked either way."""
-    rerank = ev.RerankConfig(cfg["alpha"], cfg["hops"])
-    return rerank if cfg["rerank"] else None
-
-
 def cmd_train(cfg: dict) -> int:
     train_cfg, params = _train_config(cfg), _fresh_params(cfg)  # every option checked before any output
     g = _load_augmented(cfg)
@@ -277,7 +256,7 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_evaluate(cfg: dict) -> int:
-    rerank = _rerank_config(cfg)
+    rerank = ev.RerankConfig(cfg["alpha"], cfg["hops"])
     params = enc.load_checkpoint(cfg["checkpoint"])  # a bad checkpoint leaves no load report
     g = _load_augmented(cfg)
     if cfg["precomputed_embeddings"]:
@@ -298,7 +277,7 @@ def cmd_evaluate(cfg: dict) -> int:
 
 
 def cmd_predict(cfg: dict) -> int:
-    rerank = _rerank_config(cfg)
+    rerank = ev.RerankConfig(cfg["alpha"], cfg["hops"])
     g = _load_augmented(cfg)
     params = enc.load_checkpoint(cfg["checkpoint"])
     relation = cfg["relation"]

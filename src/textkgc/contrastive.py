@@ -169,7 +169,6 @@ def assemble_candidates(
     if use_self_negatives:
         scores[:, sn_column] = (batch.hr_embs * batch.self_embs).sum(axis=1)
 
-    # one numbering call, so an undeclared id compares equal to itself only
     numbers = g.entity_numbers(
         [row.tail for row in batch.rows] + queue_ids + [row.head for row in batch.rows]
     )

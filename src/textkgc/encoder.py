@@ -45,7 +45,7 @@ def separator_index(buckets: int) -> int:
     return buckets - 1
 
 
-def tokenize(text: str, buckets: int, max_tokens: int = DEFAULT_MAX_TOKENS) -> list[int]:
+def tokenize(text: str, buckets: int, max_tokens: int) -> list[int]:
     """Lowercase, split on whitespace, hash each token into a bucket.
 
     Hashes land in ``[0, buckets - 1)``; the top bucket is reserved for the
@@ -62,9 +62,7 @@ def tokenize(text: str, buckets: int, max_tokens: int = DEFAULT_MAX_TOKENS) -> l
     ]
 
 
-def tokenize_texts(
-    texts: Iterable[str], buckets: int, max_tokens: int = DEFAULT_MAX_TOKENS
-) -> list[list[int]]:
+def tokenize_texts(texts: Iterable[str], buckets: int, max_tokens: int) -> list[list[int]]:
     """``tokenize`` of each text in order; each distinct text is hashed once,
     and its repeats share that one list."""
     seen: dict[str, list[int]] = {}
@@ -268,10 +266,7 @@ def forward_tail(
 
 
 def combine_query_tokens(
-    h_tokens: Sequence[int],
-    r_tokens: Sequence[int],
-    buckets: int,
-    max_tokens: int = DEFAULT_MAX_TOKENS,
+    h_tokens: Sequence[int], r_tokens: Sequence[int], buckets: int, max_tokens: int
 ) -> list[int]:
     """Head tokens, the separator bucket, then relation tokens, truncated."""
     combined = list(h_tokens) + [separator_index(buckets)] + list(r_tokens)

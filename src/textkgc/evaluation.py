@@ -33,9 +33,9 @@ RANK_CELLS = 2**18  # (query, entity) scores per ranked chunk; bounds the (chunk
 @dataclass(frozen=True)
 class RerankConfig:
     """Score boost ``alpha`` for entities within ``hops`` undirected train
-    edges of the query head.  ``alpha=0`` disables re-ranking entirely."""
+    edges of the query head.  ``alpha=0``, the default, disables re-ranking."""
 
-    alpha: float = 0.05
+    alpha: float = 0.0
     hops: int = 2
 
     def __post_init__(self) -> None:
@@ -129,7 +129,7 @@ def _rank_chunk(
     rerank: Optional[RerankConfig],
 ) -> np.ndarray:
     """The ``rank_one`` rank of each triple, given its query vector as a row of ``queries``."""
-    targets = g.entity_numbers([g.entity(t).id for _, _, t in triples])  # raises for an undeclared target
+    targets = g.entity_numbers([t for _, _, t in triples])
     heads = [h for h, _, _ in triples]
     scores = _candidate_scores(g, idx, heads, queries, rerank)
     rows = np.arange(len(triples))

@@ -164,37 +164,32 @@ class KnowledgeGraph:
         return self._adjacency[self._adjacency_starts[n] : self._adjacency_starts[n + 1]]
 
     def entity_numbers(self, ids: Sequence[str]) -> np.ndarray:
-        """Each entity's position in sorted-id order; each distinct undeclared
-        id gets its own negative number, so the numbers compare as the ids do."""
-        number, undeclared = self._entity_number, {}
-        return np.array(
-            [number[e] if e in number else undeclared.setdefault(e, -1 - len(undeclared)) for e in ids],
-            dtype=np.int64,
-        )
+        """Each entity's position in sorted-id order; an undeclared id raises
+        ``UnknownIdError``, as in ``entity``."""
+        return _numbers(self._entity_number, ids, "entity")
 
     def relation_numbers(self, ids: Sequence[str]) -> np.ndarray:
-        """Each relation's position in sorted-id order; -1 for an undeclared id."""
-        return np.array([self._relation_number.get(r, -1) for r in ids], dtype=np.int64)
+        """Each relation's position in sorted-id order; an undeclared id raises
+        ``UnknownIdError``, as in ``relation``."""
+        return _numbers(self._relation_number, ids, "relation")
 
     def known(self, heads: np.ndarray, relations: np.ndarray, tails: np.ndarray) -> np.ndarray:
         """Whether each (head, relation, tail), given as ``entity_numbers`` and
         ``relation_numbers`` arrays that broadcast together, is a triple of
-        any split; a negative (undeclared) number is in none."""
+        any split."""
         keys = (heads * len(self._relation_number) + relations) * len(self._entity_number) + tails
         if not self._triple_keys.size:
             return np.zeros(np.shape(keys), dtype=bool)
-        found = self._triple_keys.take(self._triple_keys.searchsorted(keys), mode="clip") == keys
-        # a negative number can form the key of another, declared triple
-        return found & ((heads >= 0) & (relations >= 0)) & (tails >= 0)
+        return self._triple_keys.take(self._triple_keys.searchsorted(keys), mode="clip") == keys
 
     def known_tails(self, heads: np.ndarray, relations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(query rows, tail numbers) of every t with (heads[i], relations[i], t)
         in any split, given ``entity_numbers`` and ``relation_numbers``: query by
-        query, tails increasing; an undeclared head or relation has none."""
+        query, tails increasing."""
         keys, E = self._triple_keys, len(self._entity_number)
         first = (heads * len(self._relation_number) + relations) * E  # each query's key block
         starts = keys.searchsorted(first)
-        counts = np.where((heads >= 0) & (relations >= 0), keys.searchsorted(first + E) - starts, 0)
+        counts = keys.searchsorted(first + E) - starts
         rows = np.repeat(np.arange(counts.size), counts)
         # output position j of query i reads key starts[i] + (j - offset of query i)
         at = np.arange(rows.size) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
@@ -225,6 +220,13 @@ class KnowledgeGraph:
             except KgcError:
                 self._categories[relation_id] = None
         return self._categories[relation_id]
+
+
+def _numbers(number: dict[str, int], ids: Sequence[str], kind: str) -> np.ndarray:
+    try:
+        return np.array([number[i] for i in ids], dtype=np.int64)
+    except KeyError as e:
+        raise UnknownIdError(f"unknown {kind} id: {e.args[0]!r}") from None
 
 
 def _read_descriptions(path: str, kind: str) -> dict[str, tuple[str, str]]:
@@ -349,14 +351,12 @@ def k_hop_neighbors(g: KnowledgeGraph, entity_id: str, k: int) -> np.ndarray:
     return np.array(sorted(seen), dtype=np.int64)
 
 
-def classify_relation(
-    g: KnowledgeGraph, relation_id: str, threshold: float = CARDINALITY_THRESHOLD
-) -> str:
+def classify_relation(g: KnowledgeGraph, relation_id: str) -> str:
     """Cardinality category of a relation: one of '1-1', '1-n', 'n-1', 'n-n'.
 
     Computed over forward train triples only; an inverse relation is
-    classified by its forward counterpart.  Means at or above ``threshold``
-    count as "n" on that side.
+    classified by its forward counterpart.  Means at or above
+    ``CARDINALITY_THRESHOLD`` count as "n" on that side.
     """
     rel = g.relation(relation_id)
     if rel.is_inverse:
@@ -374,28 +374,23 @@ def classify_relation(
         raise KgcError(f"relation {rel.id!r} has no train triples to classify")
     tails_per_head = count / len(heads)
     heads_per_tail = count / len(tails)
-    head_side = "n" if heads_per_tail >= threshold else "1"
-    tail_side = "n" if tails_per_head >= threshold else "1"
+    head_side = "n" if heads_per_tail >= CARDINALITY_THRESHOLD else "1"
+    tail_side = "n" if tails_per_head >= CARDINALITY_THRESHOLD else "1"
     return f"{head_side}-{tail_side}"
 
 
-def augment_description(
-    g: KnowledgeGraph,
-    entity_id: str,
-    exclude: Optional[str] = None,
-    short_threshold: int = SHORT_DESCRIPTION_TOKENS,
-) -> str:
+def augment_description(g: KnowledgeGraph, entity_id: str, exclude: Optional[str] = None) -> str:
     """Entity text for the encoder, padded with neighbor names when short.
 
     An empty description falls back to the entity name.  If the base text has
-    fewer than ``short_threshold`` whitespace tokens, the names of the
+    fewer than ``SHORT_DESCRIPTION_TOKENS`` whitespace tokens, the names of the
     entity's undirected train neighbors are appended in entity-id order.
     ``exclude`` drops one neighbor (the answer entity, during training) from
     that list.
     """
     ent = g.entity(entity_id)
     base = ent.description.strip() or ent.name
-    if len(base.split()) >= short_threshold:
+    if len(base.split()) >= SHORT_DESCRIPTION_TOKENS:
         return base
     neighbors = [g.entity_ids[n] for n in g.neighbor_numbers(entity_id).tolist()]
     names = [g.entities[n].name for n in neighbors if n != entity_id and n != exclude]
@@ -403,7 +398,10 @@ def augment_description(
 
 
 def is_known_triple(g: KnowledgeGraph, triple: Triple) -> bool:
-    """True when the triple appears in any of the three splits."""
+    """True when the triple appears in any of the three splits; a triple with
+    an undeclared id appears in none."""
     h, r, t = triple
+    if not (h in g.entities and t in g.entities and r in g.relations):
+        return False
     head, tail = g.entity_numbers([h, t])
     return bool(g.known(head, g.relation_numbers([r])[0], tail))

@@ -14,11 +14,12 @@ from textkgc.graph import Entity, KnowledgeGraph, Relation, Triple, add_inverse_
 from textkgc.randomness import named_stream
 
 
-def make_graph(train, valid=(), test=(), descriptions=None, names=None, augment=False):
-    """Build a KnowledgeGraph from triple id-tuples, declaring ids on the fly."""
+def make_graph(train, valid=(), test=(), descriptions=None, names=None, augment=False, entities=()):
+    """Build a KnowledgeGraph from triple id-tuples, declaring ids on the fly;
+    ``entities`` declares more, which no triple needs to hold."""
     descriptions = descriptions or {}
     names = names or {}
-    ents, rels = set(), set()
+    ents, rels = set(entities), set()
     for split in (train, valid, test):
         for h, r, t in split:
             ents.update((h, t))

@@ -113,7 +113,8 @@ def _instance(k):
     triples = set()
     while len(triples) < B:
         triples.add((str(rng.choice(ents)), str(rng.choice(rels)), str(rng.choice(ents))))
-    g = make_graph(sorted(triples), descriptions=descs)
+    queued = ents + ["z0", "z1", "z2"]  # pre-batch ids, some of them in no triple
+    g = make_graph(sorted(triples), descriptions=descs, entities=queued)
 
     cfg = TrainConfig(
         batch_size=B,
@@ -140,7 +141,7 @@ def _instance(k):
     if P:
         extra = rng.standard_normal((P * B, dim))
         extra /= np.linalg.norm(extra, axis=1, keepdims=True)
-        qids = [str(rng.choice(ents + ["z0", "z1", "z2"])) for _ in range(P * B)]
+        qids = [str(rng.choice(queued)) for _ in range(P * B)]
         queue.push(extra, qids)
     return g, cfg, params, rows, tokens, queue
 
@@ -302,7 +303,7 @@ def test_criterion_02_negative_count_law():
     results = {}
     for B in (4, 64, 1024):
         rows = [(f"h{i}", "r", f"t{i}") for i in range(B)]
-        g = make_graph(rows)
+        g = make_graph(rows, entities=[f"q{j}" for j in range(2 * B)])  # the queue's ids
         hr = rng.standard_normal((B, dim))
         hr /= np.linalg.norm(hr, axis=1, keepdims=True)
         tails = rng.standard_normal((B, dim))

@@ -205,8 +205,7 @@ def test_evaluate_output_flag_and_rerank_zero_alpha(trained, tmp_path):
     zeroed = tmp_path / "zeroed.json"
     assert main(["evaluate", *flags, "--checkpoint", str(out), "--output", str(plain)]) == EXIT_OK
     assert main([
-        "evaluate", *flags, "--checkpoint", str(out), "--output", str(zeroed),
-        "--rerank", "--alpha", "0",
+        "evaluate", *flags, "--checkpoint", str(out), "--output", str(zeroed), "--alpha", "0",
     ]) == EXIT_OK
     assert plain.read_bytes() == zeroed.read_bytes()
 
@@ -216,9 +215,38 @@ def test_evaluate_rerank_flips_flag(trained, tmp_path):
     path = tmp_path / "boosted.json"
     assert main([
         "evaluate", *flags, "--checkpoint", str(out), "--output", str(path),
-        "--rerank", "--alpha", "0.05", "--hops", "2",
+        "--alpha", "0.05", "--hops", "2",
     ]) == EXIT_OK
     assert json.loads(path.read_text())["reranked"] is True
+
+
+def test_the_cli_re_rank_defaults_are_the_configs():
+    for command in ("evaluate", "predict"):
+        opts = {o.flag: o.default for o in _OPTS[command]}
+        default = ev.RerankConfig()
+        assert (opts["--alpha"], opts["--hops"]) == (default.alpha, default.hops) == (0.0, 2)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_alpha_alone_switches_re_ranking(trained, tmp_path, capsys, command):
+    flags, out = trained
+    run = [command, *flags, "--checkpoint", str(out)]
+    if command == "predict":
+        run += ["--head", "p0", "--relation", "lives_in"]
+    capsys.readouterr()
+    code = main([*run, "--rerank"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        "textkgc: error: unrecognized arguments: --rerank"
+    ]
+    # a config file's rerank line is ignored, like any key the command does not take
+    config = tmp_path / "run.conf"
+    config.write_text("rerank = true\n")
+    assert main([*run, "--config", str(config)]) == EXIT_OK
+    configured = capsys.readouterr().out
+    assert main(run) == EXIT_OK
+    assert configured == capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["evaluate", "predict"])
@@ -226,7 +254,7 @@ def test_evaluate_rerank_flips_flag(trained, tmp_path):
 def test_rerank_rejects_a_non_finite_alpha(trained, capsys, command, value):
     flags, out = trained
     query = ["--head", "p0", "--relation", "lives_in"] if command == "predict" else []
-    code = main([command, *flags, "--checkpoint", str(out), *query, "--rerank", "--alpha", value])
+    code = main([command, *flags, "--checkpoint", str(out), *query, "--alpha", value])
     _assert_one_usage_error(code, capsys, "re-rank boost must be a finite number >= 0")
 
 
@@ -565,7 +593,7 @@ def _cli_outputs(flags, checkpoint, out_dir, capsys, extra=()):
     outputs = {}
     for name, argv in {
         "evaluate": ["evaluate", "--output", str(out_dir / "plain.json")],
-        "rerank": ["evaluate", "--rerank", "--output", str(out_dir / "rerank.json")],
+        "rerank": ["evaluate", "--alpha", "0.05", "--output", str(out_dir / "rerank.json")],
         "predict": ["predict", "--head", "p0", "--relation", "lives_in", "--topk", "12"],
         "export": ["export-embeddings", "--out", str(out_dir / "vectors.tsv")],
     }.items():
@@ -583,7 +611,7 @@ def _api_outputs(flags, params, out_dir):
     idx = ev.build_index(g, params)
     reports = {
         name: json.dumps(ev.evaluate(g, idx, params, "test", rerank).report(), indent=2, sort_keys=True) + "\n"
-        for name, rerank in (("evaluate", None), ("rerank", ev.RerankConfig()))
+        for name, rerank in (("evaluate", None), ("rerank", ev.RerankConfig(0.05)))
     }
     rows = ev.predict_topk(g, idx, params, "p0", "lives_in", 12)
     predicted = "".join(

@@ -167,7 +167,7 @@ def test_negative_count_law_small():
     for B in (4, 8):
         for P in (0, 1, 2):
             rows = [(f"h{i}", "r", f"t{i}") for i in range(B)]
-            g = make_graph(train=rows)
+            g = make_graph(train=rows, entities=[f"q{k}_{i}" for k in range(2) for i in range(B)])
             batch = _batch_for(g, rows)
             queue = PreBatchQueue(P * B)
             for k in range(P):

@@ -35,7 +35,7 @@ def encode_tail(params, tokens, dropout=0.0, rng=None):
 
 def encode_hr(params, h_tokens, r_tokens):
     """One (head, relation) query vector, encoded as a batch of one."""
-    query = combine_query_tokens(h_tokens, r_tokens, params.buckets)
+    query = combine_query_tokens(h_tokens, r_tokens, params.buckets, params.max_tokens)
     return forward_hr(params, TokenIds.pad([query])).output[0]
 
 
@@ -65,17 +65,18 @@ def test_fnv1a_64_reference_values():
 
 
 def test_tokenize_case_folds_and_splits():
-    assert tokenize("New York", 100) == tokenize("new york", 100)
-    assert len(tokenize("New York", 100)) == 2
-    assert tokenize("", 100) == []
-    assert tokenize("  \t \n ", 100) == []
+    assert tokenize("New York", 100, 50) == tokenize("new york", 100, 50)
+    assert len(tokenize("New York", 100, 50)) == 2
+    assert tokenize("", 100, 50) == []
+    assert tokenize("  \t \n ", 100, 50) == []
 
 
 def test_tokenize_truncates_to_max_tokens():
     text = " ".join(f"tok{i}" for i in range(60))
-    assert len(tokenize(text, 100)) == 50
-    assert tokenize(text, 100) == tokenize(" ".join(text.split()[:50]), 100)
+    assert len(tokenize(text, 100, 50)) == 50
+    assert tokenize(text, 100, 50) == tokenize(" ".join(text.split()[:50]), 100, 60)
     assert len(tokenize(text, 100, max_tokens=7)) == 7
+    assert tokenize(text, 100, 60) == tokenize(text, 100, 61)  # a budget above the length cuts nothing
 
 
 def test_tokenize_buckets_exclude_separator(rng):
@@ -84,15 +85,15 @@ def test_tokenize_buckets_exclude_separator(rng):
     assert sep == V - 1
     for _ in range(200):
         word = "".join(chr(rng.integers(97, 123)) for _ in range(int(rng.integers(1, 9))))
-        (bucket,) = tokenize(word, V)
+        (bucket,) = tokenize(word, V, 50)
         assert 0 <= bucket < V - 1
     # hash agrees with the recurrence, modulo the reserved bucket
-    assert tokenize("france", V) == [fnv1a_64(b"france") % (V - 1)]
+    assert tokenize("france", V, 50) == [fnv1a_64(b"france") % (V - 1)]
 
 
 def test_tokenize_validates_arguments():
     with pytest.raises(KgcError):
-        tokenize("x", 1)
+        tokenize("x", 1, 50)
     with pytest.raises(KgcError):
         tokenize("x", 100, max_tokens=0)
 
@@ -167,7 +168,7 @@ def test_eval_mode_is_pure():
 
 def test_combined_query_length_and_separator():
     V = 64
-    combined = combine_query_tokens([1, 2, 3], [4, 5], V)
+    combined = combine_query_tokens([1, 2, 3], [4, 5], V, 50)
     assert len(combined) == 6
     assert combined == [1, 2, 3, separator_index(V), 4, 5]
     truncated = combine_query_tokens(list(range(48)), [60, 61, 62], V, max_tokens=50)
@@ -176,9 +177,9 @@ def test_combined_query_length_and_separator():
 
 def test_relation_awareness():
     p = tiny_params(buckets=32, dim=16, seed=11)
-    h = tokenize("paris", 32)
-    r1 = tokenize("capital of", 32)
-    r2 = tokenize("largest city of", 32)
+    h = tokenize("paris", 32, p.max_tokens)
+    r1 = tokenize("capital of", 32, p.max_tokens)
+    r2 = tokenize("largest city of", 32, p.max_tokens)
     assert not np.allclose(encode_hr(p, h, r1), encode_hr(p, h, r2), atol=1e-6)
 
 
@@ -422,7 +423,8 @@ def test_backward_scatter_matches_add_at_bitwise(rng):
     cases = {
         "repeat in a row": [[3, 3, 7, 3], [1, 2]],
         "separator in every row": [
-            combine_query_tokens(h, r, p.buckets) for h, r in ([[1, 2], [4]], [[2], [4]], [[], [5, 1]])
+            combine_query_tokens(h, r, p.buckets, p.max_tokens)
+            for h, r in ([[1, 2], [4]], [[2], [4]], [[], [5, 1]])
         ],
         "degenerate and empty rows": [[], [4, 4], [], [6]],
         "all empty": [[], []],

@@ -109,7 +109,7 @@ def test_build_index_rows_encode_augmented_descriptions():
     idx = build_index(g, params)
     for row, entity_id in enumerate(idx.entity_ids):
         assert g.entity_numbers([entity_id]).tolist() == [row]
-        tokens = tokenize(augment_description(g, entity_id), params.buckets)
+        tokens = tokenize(augment_description(g, entity_id), params.buckets, params.max_tokens)
         expected = forward_tail(params, TokenIds.pad([tokens])).output[0]
         assert np.array_equal(idx.matrix[row], expected)
 

@@ -5,6 +5,7 @@ import pytest
 
 from textkgc.errors import KgcError, ParseError, UnknownIdError
 from textkgc.graph import (
+    CARDINALITY_THRESHOLD,
     INVERSE_DESCRIPTION_PREFIX,
     INVERSE_ID_PREFIX,
     KnowledgeGraph,
@@ -315,10 +316,17 @@ def test_classify_relation_matches_counting_oracle(rng):
 
 
 def test_classify_threshold_boundary():
-    # tph exactly 1.5 crosses into the many bucket
+    assert CARDINALITY_THRESHOLD == 1.5
+    # tails per head exactly at the threshold crosses into the many bucket
     g = make_graph(train=[("a", "r", "b"), ("a", "r", "c"), ("d", "r", "e")])
     assert classify_relation(g, "r") == "1-n"
-    assert classify_relation(g, "r", threshold=1.6) == "1-1"
+    # 7 triples over 5 heads: 1.4 tails per head, just below it
+    below = [(h, "r", t) for h, t in ("ab", "ac", "de", "df", "gh", "ij", "kl")]
+    assert classify_relation(make_graph(train=below), "r") == "1-1"
+    # the same on the head side, with heads and tails swapped
+    g = make_graph(train=[("b", "r", "a"), ("c", "r", "a"), ("e", "r", "d")])
+    assert classify_relation(g, "r") == "n-1"
+    assert classify_relation(make_graph(train=[(t, r, h) for h, r, t in below]), "r") == "1-1"
 
 
 # -- description augmentation ------------------------------------------------
@@ -398,43 +406,33 @@ def test_known_tails_accumulates_across_splits():
 
 def test_known_answers_whole_arrays():
     g = make_graph(train=[("a", "r", "b")], valid=[("a", "r", "c")], test=[("c", "s", "a")])
-    assert g.entity_numbers(["b", "zz", "a", "zz", "yy"]).tolist() == [1, -1, 0, -1, -2]
-    assert g.relation_numbers(["s", "nope", "r"]).tolist() == [1, -1, 0]
-    heads = g.entity_numbers(["a", "c", "zz"])
+    assert g.entity_numbers(["b", "a", "c", "a"]).tolist() == [1, 0, 2, 0]
+    assert g.relation_numbers(["s", "r", "s"]).tolist() == [1, 0, 1]
+    heads = g.entity_numbers(["a", "c", "b"])
     relations = g.relation_numbers(["r", "s", "r"])
-    candidates = g.entity_numbers(["a", "b", "c", "zz"])
+    candidates = g.entity_numbers(["a", "b", "c"])
     assert g.known(heads[:, None], relations[:, None], candidates).tolist() == [
-        [False, True, True, False],
-        [True, False, False, False],
-        [False, False, False, False],  # an undeclared head is in no known triple
+        [False, True, True],
+        [True, False, False],
+        [False, False, False],  # a head that is in no known triple
     ]
     assert g.known(heads, relations, heads).tolist() == [False, False, False]
     assert _tails_of(g, "a", "r") == [1, 2]
     assert _tails_of(g, "c", "s") == [0]
-    assert _tails_of(g, "zz", "r") == []
-    assert _tails_of(g, "a", "nope") == []
-    # a whole batch at once, with undeclared ids and a query without tails among them
+    assert _tails_of(g, "b", "r") == []
+    assert _tails_of(g, "a", "s") == []
+    # a whole batch at once, with queries without tails among them
     rows, tails = g.known_tails(heads, relations)
     assert rows.tolist() == [0, 0, 1] and tails.tolist() == [1, 2, 0]
-    heads, relations = g.entity_numbers(["zz", "c", "b", "a"]), g.relation_numbers(["r", "s", "r", "r"])
+    heads, relations = g.entity_numbers(["b", "c", "a", "a"]), g.relation_numbers(["r", "s", "s", "r"])
     rows, tails = g.known_tails(heads, relations)
     assert rows.tolist() == [1, 3, 3] and tails.tolist() == [0, 1, 2]
     assert is_known_triple(g, ("c", "s", "a")) and not is_known_triple(g, ("a", "s", "c"))
-    assert not is_known_triple(g, ("zz", "r", "zz"))
     empty = KnowledgeGraph([Entity("a", "A")], [Relation("r", "r")], {})
-    assert empty.known(0, 0, np.array([0, -1])).tolist() == [False, False]
+    assert empty.known(0, 0, np.array([0])).tolist() == [False]
     assert _tails_of(empty, "a", "r") == []
     rows, tails = empty.known_tails(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
     assert rows.size == tails.size == 0
-
-
-def test_known_tails_of_an_undeclared_relation_never_read_another_key_block():
-    # the key block of (b, undeclared) starts at (1 * R - 1) * E, where the
-    # block of (a, s) starts; it must still have no tails
-    g = make_graph(train=[("a", "s", "b"), ("a", "r", "a")])
-    assert _tails_of(g, "a", "s") == [1]
-    assert _tails_of(g, "b", "nope") == []
-    assert _tails_of(g, "zz", "s") == []
 
 
 def test_adjacency_covers_train_only():

@@ -1,7 +1,8 @@
 """Property tests: the whole-array candidate mask, the batched known-tail
-lookup, top-k selection and chunked ranking against per-cell, per-query and
-sort-based references kept here, the three losses' gradients against
-central differences, the numbered neighbor walks (text augmentation and the
+lookup, undeclared ids raising where they are numbered, top-k selection
+and chunked ranking against per-cell, per-query and sort-based
+references kept here, the three losses' gradients against central
+differences, the numbered neighbor walks (text augmentation and the
 re-rank boost) against string-set references kept here, the encoder's
 backward scatter and the touched-row optimizer update against the
 ``np.add.at`` and dense references in conftest, and the loaders fed
@@ -57,8 +58,12 @@ from textkgc.evaluation import (
 from textkgc.graph import (
     SHORT_DESCRIPTION_TOKENS,
     SPLITS,
+    Entity,
+    KnowledgeGraph,
+    Relation,
     Triple,
     augment_description,
+    is_known_triple,
     k_hop_neighbors,
     load_graph,
 )
@@ -97,10 +102,19 @@ def _reference_mask(g, rows, queue_ids, use_self_negatives):
 
 
 ENTITY_POOL = ["a", "b", "c", "d", "e"]
-UNDECLARED = ["z0", "z1"]
+RELATION_POOL = ["r", "s"]
 _triples = st.tuples(
-    st.sampled_from(ENTITY_POOL), st.sampled_from(["r", "s"]), st.sampled_from(ENTITY_POOL)
+    st.sampled_from(ENTITY_POOL), st.sampled_from(RELATION_POOL), st.sampled_from(ENTITY_POOL)
 )
+
+
+def _pool_graph(train, valid=(), test=()):
+    """A graph that declares every pool id, whether or not a triple holds it."""
+    return KnowledgeGraph(
+        [Entity(e, e.upper()) for e in ENTITY_POOL],
+        [Relation(r, r) for r in RELATION_POOL],
+        {"train": train, "valid": valid, "test": test},
+    )
 
 
 @settings(max_examples=300, deadline=None)
@@ -108,25 +122,17 @@ _triples = st.tuples(
     train=st.lists(_triples, min_size=1, max_size=12),
     valid=st.lists(_triples, max_size=4),
     test=st.lists(_triples, max_size=4),
-    rows=st.lists(
-        st.tuples(
-            st.sampled_from(ENTITY_POOL + UNDECLARED),
-            st.sampled_from(["r", "s", "undeclared"]),
-            st.sampled_from(ENTITY_POOL + UNDECLARED),
-        ),
-        min_size=1,
-        max_size=6,
-    ),
-    pushes=st.lists(st.lists(st.sampled_from(ENTITY_POOL + UNDECLARED), max_size=5), max_size=3),
+    rows=st.lists(_triples, min_size=1, max_size=6),
+    pushes=st.lists(st.lists(st.sampled_from(ENTITY_POOL), max_size=5), max_size=3),
     capacity=st.integers(0, 8),
     use_self_negatives=st.booleans(),
 )
 def test_assemble_mask_matches_per_cell_reference(
     train, valid, test, rows, pushes, capacity, use_self_negatives
 ):
-    # known triples in every split, repeated and reflexive tails, and queue
-    # entries the graph does not declare
-    g = make_graph(train=train, valid=valid, test=test)
+    # known triples in every split, repeated and reflexive tails, and ids
+    # that no triple holds
+    g = _pool_graph(train, valid, test)
     batch = _batch_for(rows)
     queue = PreBatchQueue(capacity)
     for ids in pushes:
@@ -140,29 +146,61 @@ def test_assemble_mask_matches_per_cell_reference(
     train=st.lists(_triples, max_size=12),
     valid=st.lists(_triples, max_size=4),
     test=st.lists(_triples, max_size=4),
-    queries=st.lists(
-        st.tuples(st.sampled_from(ENTITY_POOL + UNDECLARED), st.sampled_from(["r", "s", "undeclared"])),
-        max_size=8,
-    ),
+    queries=st.lists(st.tuples(st.sampled_from(ENTITY_POOL), st.sampled_from(RELATION_POOL)), max_size=8),
 )
 def test_known_tails_match_each_querys_key_slice(train, valid, test, queries):
     # the whole-batch lookup against one key-block slice per query, and both
     # against the split triples themselves
-    g = make_graph(train=train, valid=valid, test=test)
+    g = _pool_graph(train, valid, test)
     heads = g.entity_numbers([h for h, _ in queries])
     relations = g.relation_numbers([r for _, r in queries])
     rows, tails = g.known_tails(heads, relations)
     keys, E, R = g._triple_keys, len(g.entity_ids), len(g.relations)
     known = {trip for split in SPLITS for trip in g.triples(split)}
     for i, (h, r) in enumerate(queries):
-        if heads[i] < 0 or relations[i] < 0:
-            want = []
-        else:
-            first = (int(heads[i]) * R + int(relations[i])) * E
-            want = (keys[keys.searchsorted(first) : keys.searchsorted(first + E)] - first).tolist()
+        first = (int(heads[i]) * R + int(relations[i])) * E
+        want = (keys[keys.searchsorted(first) : keys.searchsorted(first + E)] - first).tolist()
         assert tails[rows == i].tolist() == want
         assert [g.entity_ids[t] for t in want] == sorted(t for t in g.entity_ids if (h, r, t) in known)
     assert np.all(np.diff(rows) >= 0) and rows.size == tails.size
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    train=st.lists(_triples, min_size=1, max_size=12),
+    rows=st.lists(_triples, min_size=1, max_size=6),
+    queued=st.lists(st.sampled_from(ENTITY_POOL), max_size=5),
+    at=st.integers(0, 5),
+    field=st.sampled_from(["head", "relation", "tail", "queue"]),
+    use_self_negatives=st.booleans(),
+)
+def test_undeclared_ids_raise_where_they_are_numbered(train, rows, queued, at, field, use_self_negatives):
+    # one undeclared id among declared ones: in a batch row (and so in the
+    # triple ranked), or in the pre-batch queue (and so as the ranked tail)
+    g = _pool_graph(train)
+    kind, ghost = ("relation", "nope") if field == "relation" else ("entity", "zz")
+    pool = RELATION_POOL if kind == "relation" else ENTITY_POOL
+    numbers = g.relation_numbers if kind == "relation" else g.entity_numbers
+    rows = [Triple(*row) for row in rows]
+    if field == "queue":
+        queued = queued[:at] + [ghost] + queued[at:]
+        triple = rows[0]._replace(tail=ghost)
+    else:
+        i = at % len(rows)
+        rows[i] = triple = rows[i]._replace(**{field: ghost})
+
+    def named():
+        return pytest.raises(UnknownIdError, match=re.escape(f"unknown {kind} id: {ghost!r}"))
+
+    with named():
+        numbers(pool[:at] + [ghost] + pool[at:])
+    queue = PreBatchQueue(8).push(np.tile(np.eye(4)[0], (len(queued), 1)), queued)
+    with named():
+        assemble_candidates(g, _batch_for(rows), queue, use_self_negatives)
+    params = tiny_params()
+    with named():
+        rank_one(g, ev.build_index(g, params), params, triple)
+    assert not is_known_triple(g, triple)
 
 
 @settings(max_examples=200, deadline=None)
@@ -349,7 +387,7 @@ _DESCRIPTIONS = st.sampled_from(["", "  ", "few words", " ".join(["w"] * (SHORT_
     test=st.lists(_triples, min_size=1, max_size=4),
     descriptions=st.lists(_DESCRIPTIONS, min_size=len(ENTITY_POOL), max_size=len(ENTITY_POOL)),
     augment=st.booleans(),
-    exclude=st.sampled_from([None, *ENTITY_POOL, *UNDECLARED]),
+    exclude=st.sampled_from([None, *ENTITY_POOL, "zz"]),  # "zz": an id no graph declares
 )
 @example(  # a reflexive triple, and c has no train neighbor
     train=[("a", "r", "a"), ("a", "r", "b"), ("b", "s", "a")], test=[("c", "s", "a")],
@@ -498,9 +536,10 @@ def test_query_vector_batch_matches_each_query_alone(pairs, chunk):
     for row, (h, r) in zip(batch, pairs):
         alone = query_vector(g, params, [(h, r)])[0]
         tokens = combine_query_tokens(
-            tokenize(augment_description(g, h), params.buckets),
-            tokenize(g.relation(r).description, params.buckets),
+            tokenize(augment_description(g, h), params.buckets, params.max_tokens),
+            tokenize(g.relation(r).description, params.buckets, params.max_tokens),
             params.buckets,
+            params.max_tokens,
         )
         direct = forward_hr(params, TokenIds.pad([tokens])).output[0]
         assert row.tobytes() == alone.tobytes() == direct.tobytes()
