@@ -1,11 +1,11 @@
 """Hashed-token embedding-bag encoder with exact manual gradients.
 
-Two independent embedding tables share one tokenizer: the ``hr`` table
-embeds relation-aware queries (head text, a reserved separator bucket, then
-relation text) and the ``tail`` table embeds candidate entities.  A text is
-encoded by averaging its token rows (with optional row dropout during
-training) and L2-normalizing the mean, so every output is a unit vector and
-dot products are cosines.
+Two independent embedding tables share one tokenizer, ``token_ids``: the
+``hr`` table embeds relation-aware queries (head text, a reserved separator
+bucket, then relation text) and the ``tail`` table candidate entities.  A
+text is encoded by averaging its token rows (with optional row dropout
+during training) and L2-normalizing the mean, so every output is a unit
+vector and dot products are cosines.
 
 Forward and backward passes run over a whole batch of texts at once, held
 as one zero-padded token-id matrix; a row's result is bitwise the same
@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -35,6 +35,7 @@ INIT_SCALE = 0.05
 DEFAULT_TEMPERATURE = 0.05
 TAU_FLOOR = 1e-3  # the learnable temperature never goes below this
 CHECKPOINT_MAGIC = "kgc-enc v2"
+PAD_CELLS = 2**18  # (row, slot) cells padded per pass; bounds the bool mask of ``TokenIds.from_flat``
 
 HR_TABLE = "hr"
 TAIL_TABLE = "tail"
@@ -60,19 +61,6 @@ def tokenize(text: str, buckets: int, max_tokens: int) -> list[int]:
         fnv1a_64(token.encode("utf-8")) % hash_space
         for token in text.lower().split()[:max_tokens]
     ]
-
-
-def tokenize_texts(texts: Iterable[str], buckets: int, max_tokens: int) -> list[list[int]]:
-    """``tokenize`` of each text in order; each distinct text is hashed once,
-    and its repeats share that one list."""
-    seen: dict[str, list[int]] = {}
-    out = []
-    for text in texts:
-        tokens = seen.get(text)
-        if tokens is None:
-            tokens = seen[text] = tokenize(text, buckets, max_tokens)
-        out.append(tokens)
-    return out
 
 
 @dataclass
@@ -152,22 +140,17 @@ class TokenIds:
     lengths: np.ndarray  # (n,) int64
 
     @classmethod
-    def pad(cls, sequences: Sequence[Sequence[int]]) -> "TokenIds":
-        """One row per sequence, zero-padded to the longest."""
-        lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
-        width = max(map(len, sequences), default=0)
-        total = sum(map(len, sequences))
-        if total == len(sequences) * width:  # no row needs padding
-            return cls(np.array(sequences, dtype=np.int32).reshape(len(sequences), width), lengths)
-        flat = np.fromiter(chain.from_iterable(sequences), dtype=np.int32, count=total)
-        return cls.from_flat(flat, lengths)
-
-    @classmethod
     def from_flat(cls, tokens: np.ndarray, lengths: np.ndarray) -> "TokenIds":
         """Rows of ``lengths[i]`` tokens each, taken in order from one flat array."""
         width = int(lengths.max(initial=0))
+        if tokens.size == lengths.size * width:  # no row needs padding
+            return cls(tokens.reshape(lengths.size, width), lengths)
         ids = np.zeros((lengths.size, width), dtype=np.int32)
-        ids[np.arange(width) < lengths[:, None]] = tokens
+        offsets = np.concatenate(([0], np.cumsum(lengths)))  # row i's tokens start at offsets[i]
+        step = max(1, PAD_CELLS // width)  # rows per pass
+        for start in range(0, lengths.size, step):
+            stop = min(start + step, lengths.size)
+            ids[start:stop][np.arange(width) < lengths[start:stop, None]] = tokens[offsets[start] : offsets[stop]]
         return cls(ids, lengths)
 
     @classmethod
@@ -188,6 +171,34 @@ class TokenIds:
     def valid(self) -> np.ndarray:
         """(n, L) bool, True at every real token."""
         return np.arange(self.ids.shape[1]) < self.lengths[:, None]
+
+
+def token_ids(rows: Iterable[Sequence[str]], buckets: int, max_tokens: int) -> TokenIds:
+    """One row per item of ``rows``, each item a sequence of texts: every
+    text's ``tokenize``, the separator bucket between two texts, the whole
+    cut to ``max_tokens``.
+
+    An entity is a one-text item and a query a (head text, relation text)
+    item.  Each distinct text is tokenized once per call, and each row is
+    written into one flat C-int buffer as it is built.
+    """
+    separator = separator_index(buckets)
+    memo: dict[str, array] = {}
+    flat = array("i")
+    lengths = array("q")
+    for texts in rows:
+        start = len(flat)
+        for i, text in enumerate(texts):
+            tokens = memo.get(text)
+            if tokens is None:
+                tokens = memo[text] = array("i", tokenize(text, buckets, max_tokens))
+            if i:
+                flat.append(separator)
+            flat += tokens
+        del flat[start + max_tokens :]
+        lengths.append(len(flat) - start)
+    memo.clear()  # frees the texts and their arrays before the padded copy is made
+    return TokenIds.from_flat(np.frombuffer(flat, dtype=np.intc), np.frombuffer(lengths, dtype=np.int64))
 
 
 @dataclass
@@ -265,21 +276,13 @@ def forward_tail(
     return _bag_forward(params.tail_table, tokens, dropout, rng)
 
 
-def combine_query_tokens(
-    h_tokens: Sequence[int], r_tokens: Sequence[int], buckets: int, max_tokens: int
-) -> list[int]:
-    """Head tokens, the separator bucket, then relation tokens, truncated."""
-    combined = list(h_tokens) + [separator_index(buckets)] + list(r_tokens)
-    return combined[:max_tokens]
-
-
 def forward_hr(
     params: EncoderParams,
     tokens: TokenIds,
     dropout: float = 0.0,
     rng: Optional[np.random.Generator] = None,
 ) -> Encoding:
-    """Unit-vector embeddings of relation-aware queries (``combine_query_tokens`` rows)."""
+    """Unit-vector embeddings of relation-aware queries (two-text ``token_ids`` rows)."""
     return _bag_forward(params.hr_table, tokens, dropout, rng)
 
 

@@ -69,9 +69,9 @@ def build_index(g: KnowledgeGraph, params: enc.EncoderParams) -> EntityEmbedding
     matrix = np.empty((len(ids), params.dim))
     for start in range(0, len(ids), INDEX_CHUNK):
         chunk = ids[start : start + INDEX_CHUNK]
-        texts = [augment_description(g, e) for e in chunk]
-        tokens = enc.tokenize_texts(texts, params.buckets, params.max_tokens)
-        matrix[start : start + len(chunk)] = enc.forward_tail(params, enc.TokenIds.pad(tokens)).output
+        texts = [(augment_description(g, e),) for e in chunk]
+        tokens = enc.token_ids(texts, params.buckets, params.max_tokens)
+        matrix[start : start + len(chunk)] = enc.forward_tail(params, tokens).output
     return EntityEmbeddingIndex(ids, matrix, forward_passes=len(ids))
 
 
@@ -80,17 +80,14 @@ def query_vector(
 ) -> np.ndarray:
     """Unit query vectors of (head, relation) pairs, one row per pair.
 
-    Each distinct text is tokenized once, and up to ``INDEX_CHUNK`` queries
-    share a forward pass; a row's bits do not depend on the other pairs.
+    Up to ``INDEX_CHUNK`` queries share a forward pass, and each distinct
+    text of a chunk is tokenized once; a row's bits do not depend on the
+    other pairs.
     """
-    texts = [text for h, r in pairs for text in (augment_description(g, h), g.relation(r).description)]
+    queries = [(augment_description(g, h), g.relation(r).description) for h, r in pairs]
     buckets, max_tokens = params.buckets, params.max_tokens
-    tokens = enc.tokenize_texts(texts, buckets, max_tokens)
-    queries = [
-        enc.combine_query_tokens(h, r, buckets, max_tokens) for h, r in zip(tokens[0::2], tokens[1::2])
-    ]
     return np.concatenate([
-        enc.forward_hr(params, enc.TokenIds.pad(queries[start : start + INDEX_CHUNK])).output
+        enc.forward_hr(params, enc.token_ids(queries[start : start + INDEX_CHUNK], buckets, max_tokens)).output
         for start in range(0, len(queries), INDEX_CHUNK)
     ])
 

@@ -12,9 +12,8 @@ so logs and checkpoints are bit-identical across runs at a fixed seed.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -238,55 +237,23 @@ class TrainTokens:
         return TrainTokens(self.query[rows], self.tail[rows], self.head[rows])
 
 
-def _pad_rows(rows: Iterable[Sequence[int]], count: int) -> enc.TokenIds:
-    """``enc.TokenIds.pad`` of ``count`` token rows, read one row at a time.
-
-    Only the flat C-int tokens are kept as they come, never a list per row.
-    """
-    flat = array("i")
-    lengths = np.empty(count, dtype=np.int64)
-    for i, row in enumerate(rows):
-        flat.extend(row)
-        lengths[i] = len(row)
-    return enc.TokenIds.from_flat(np.frombuffer(flat, dtype=np.intc), lengths)
-
-
 def build_token_cache(g: KnowledgeGraph, params: enc.EncoderParams) -> TrainTokens:
     """Tokenize every train triple once, at the params' bucket count and token budget.
 
-    Each distinct text is hashed and padded once, and each distinct (head
-    text, relation) query combined and padded once; the three matrices then
-    gather their rows by index, so no per-triple token list is ever built.
+    One ``enc.token_ids`` call writes three rows per triple (query, tail,
+    head), so each distinct text is hashed once and no per-triple token list
+    is ever built; each matrix takes every third row.
     """
-    triples = g.triples("train")
-    number: dict[str, int] = {}  # distinct text -> its row among the padded texts
-    texts = np.fromiter(
-        (
-            number.setdefault(text, len(number))
-            for h, r, t in triples
-            for text in (
-                augment_description(g, h, exclude=t),
-                g.relation(r).description,
-                augment_description(g, t, exclude=h),
-            )
-        ),
-        dtype=np.int64,
-        count=3 * len(triples),
-    ).reshape(len(triples), 3)
-    buckets, max_tokens = params.buckets, params.max_tokens
-    padded = _pad_rows((enc.tokenize(text, buckets, max_tokens) for text in number), len(number))
 
-    def tokens_of(row: int) -> list[int]:
-        return padded.ids[row, : padded.lengths[row]].tolist()
+    def rows():
+        for h, r, t in g.triples("train"):
+            head = augment_description(g, h, exclude=t)
+            yield head, g.relation(r).description
+            yield (augment_description(g, t, exclude=h),)
+            yield (head,)
 
-    pairs, query = np.unique(texts[:, 0] * len(number) + texts[:, 1], return_inverse=True)
-    heads, relations = np.divmod(pairs, len(number))
-    combined = (
-        enc.combine_query_tokens(tokens_of(h), tokens_of(r), buckets, max_tokens)
-        for h, r in zip(heads.tolist(), relations.tolist())
-    )
-    queries = _pad_rows(combined, pairs.size)[query]
-    return TrainTokens(queries, padded[texts[:, 2]], padded[texts[:, 0]])
+    tokens = enc.token_ids(rows(), params.buckets, params.max_tokens)
+    return TrainTokens(tokens[0::3], tokens[1::3], tokens[2::3])
 
 
 def run_batch(

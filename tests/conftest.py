@@ -1,6 +1,7 @@
 """Shared builders for graph, dataset-file, and candidate-matrix fixtures."""
 
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from textkgc import encoder as enc
 from textkgc import training as tr
 from textkgc.contrastive import IN_BATCH, CandidateMatrix
-from textkgc.encoder import EncoderParams
+from textkgc.encoder import EncoderParams, TokenIds, separator_index
 from textkgc.errors import NumericError
 from textkgc.graph import Entity, KnowledgeGraph, Relation, Triple, add_inverse_triples
 from textkgc.randomness import named_stream
@@ -55,6 +56,19 @@ def write_dataset(dirpath, train, valid, test, entities, relations):
 
 def tiny_params(buckets=16, dim=8, seed=0, initial_temperature=0.05):
     return EncoderParams.initialize(buckets, dim, named_stream(seed, "init"), initial_temperature)
+
+
+def pad(sequences):
+    """Token sequences as one ``TokenIds``, each row zero-padded to the longest."""
+    lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
+    flat = np.fromiter(chain.from_iterable(sequences), dtype=np.int32, count=int(lengths.sum()))
+    return TokenIds.from_flat(flat, lengths)
+
+
+def query_layout(h_tokens, r_tokens, buckets, max_tokens):
+    """Reference query row: head tokens, the separator bucket, then relation
+    tokens, cut to ``max_tokens``; ``encoder.token_ids`` must build the same."""
+    return (list(h_tokens) + [separator_index(buckets)] + list(r_tokens))[:max_tokens]
 
 
 def reference_encode_backward(encoding, upstream):

@@ -10,8 +10,9 @@ import pytest
 from textkgc import encoder as enc
 from textkgc import evaluation as ev
 from textkgc import files
-from textkgc.cli import _OPTS, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from textkgc.cli import _OPTS, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _train_config, main
 from textkgc.graph import add_inverse_triples, load_graph
+from textkgc.training import TrainConfig
 
 from conftest import write_dataset
 
@@ -225,6 +226,16 @@ def test_the_cli_re_rank_defaults_are_the_configs():
         opts = {o.flag: o.default for o in _OPTS[command]}
         default = ev.RerankConfig()
         assert (opts["--alpha"], opts["--hops"]) == (default.alpha, default.hops) == (0.0, 2)
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_the_cli_train_defaults_are_the_configs(command):
+    # every option default sets its TrainConfig or LossConfig field to that
+    # field's default, but two: the CLI trains longer, in smaller batches
+    opts = {o.dest: o.default for o in _OPTS[command]}
+    assert (opts["batch_size"], opts["epochs"]) == (256, 10)
+    assert (TrainConfig().batch_size, TrainConfig().epochs) == (1024, 1)
+    assert _train_config(opts) == dataclasses.replace(TrainConfig(), batch_size=256, epochs=10)
 
 
 @pytest.mark.parametrize("command", ["evaluate", "predict"])

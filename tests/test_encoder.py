@@ -11,7 +11,6 @@ from textkgc.encoder import (
     EncoderParams,
     GradientBuffer,
     TokenIds,
-    combine_query_tokens,
     encode_backward,
     forward_hr,
     forward_tail,
@@ -19,29 +18,30 @@ from textkgc.encoder import (
     save_checkpoint,
     separator_index,
     temperature,
+    token_ids,
     tokenize,
 )
 from textkgc.errors import CheckpointError, KgcError, NumericError, UnknownIdError
 from textkgc.evaluation import read_embeddings
 from textkgc.randomness import fnv1a_64, named_stream
 
-from conftest import make_graph, reference_encode_backward, tiny_params
+from conftest import make_graph, pad, query_layout, reference_encode_backward, tiny_params
 
 
 def encode_tail(params, tokens, dropout=0.0, rng=None):
     """One text's candidate vector, encoded as a batch of one."""
-    return forward_tail(params, TokenIds.pad([tokens]), dropout, rng).output[0]
+    return forward_tail(params, pad([tokens]), dropout, rng).output[0]
 
 
 def encode_hr(params, h_tokens, r_tokens):
     """One (head, relation) query vector, encoded as a batch of one."""
-    query = combine_query_tokens(h_tokens, r_tokens, params.buckets, params.max_tokens)
-    return forward_hr(params, TokenIds.pad([query])).output[0]
+    query = query_layout(h_tokens, r_tokens, params.buckets, params.max_tokens)
+    return forward_hr(params, pad([query])).output[0]
 
 
 def backward_one(params, tokens, upstream):
     """Gradient rows, keyed by bucket, of one text encoded alone on the candidate table."""
-    encoding = forward_tail(params, TokenIds.pad([tokens]))
+    encoding = forward_tail(params, pad([tokens]))
     ids, grads = encode_backward(encoding, np.asarray(upstream, dtype=float)[None, :])
     return encoding, dict(zip(ids.tolist(), grads))
 
@@ -168,11 +168,15 @@ def test_eval_mode_is_pure():
 
 def test_combined_query_length_and_separator():
     V = 64
-    combined = combine_query_tokens([1, 2, 3], [4, 5], V, 50)
-    assert len(combined) == 6
-    assert combined == [1, 2, 3, separator_index(V), 4, 5]
-    truncated = combine_query_tokens(list(range(48)), [60, 61, 62], V, max_tokens=50)
-    assert truncated == list(range(48)) + [separator_index(V), 60]
+    head, relation = tokenize("a b c", V, 50), tokenize("d e", V, 50)
+    combined = token_ids([("a b c", "d e")], V, 50)
+    assert combined.lengths.tolist() == [6]
+    assert combined.ids.tolist() == [head + [separator_index(V)] + relation]
+    long_head = " ".join(f"w{i}" for i in range(48))
+    truncated = token_ids([(long_head, "x y z")], V, max_tokens=50)
+    assert truncated.lengths.tolist() == [50]
+    x = tokenize("x", V, 50)[0]
+    assert truncated.ids.tolist() == [tokenize(long_head, V, 50) + [separator_index(V), x]]
 
 
 def test_relation_awareness():
@@ -207,7 +211,7 @@ def test_dropout_mask_recorded_and_scaled(rng):
     toks = [1, 2, 3, 4, 5, 6]
     seen_drop = False
     for _ in range(50):
-        rec = forward_tail(p, TokenIds.pad([toks]), dropout=0.4, rng=rng)
+        rec = forward_tail(p, pad([toks]), dropout=0.4, rng=rng)
         assert rec.scale == pytest.approx(1.0 / 0.6)
         kept = rec.keep[0]
         if rec.degenerate[0]:
@@ -227,7 +231,7 @@ def test_all_rows_dropped_is_degenerate():
         def random(self, n):
             return np.zeros(n)
 
-    rec = forward_tail(p, TokenIds.pad([[1, 2]]), dropout=0.9, rng=AlwaysDrop())
+    rec = forward_tail(p, pad([[1, 2]]), dropout=0.9, rng=AlwaysDrop())
     assert rec.degenerate[0]
     assert np.array_equal(rec.output[0], np.array([1.0, 0, 0, 0]))
 
@@ -237,7 +241,7 @@ def test_all_rows_dropped_is_degenerate():
 
 def test_backward_zero_upstream_is_empty():
     p = tiny_params(buckets=8, dim=4)
-    rec = forward_tail(p, TokenIds.pad([[1, 2, 3]]))
+    rec = forward_tail(p, pad([[1, 2, 3]]))
     ids, grads = encode_backward(rec, np.zeros((1, 4)))
     assert ids.tolist() == [1, 2, 3]
     assert np.allclose(grads, 0)
@@ -246,7 +250,7 @@ def test_backward_zero_upstream_is_empty():
 
 def test_backward_radial_component_is_killed():
     p = tiny_params(buckets=8, dim=4, seed=5)
-    rec = forward_tail(p, TokenIds.pad([[1, 2, 3]]))
+    rec = forward_tail(p, pad([[1, 2, 3]]))
     _, grads = encode_backward(rec, 3.7 * rec.output)
     for g in grads:
         assert np.abs(g).max() <= 1e-10
@@ -269,7 +273,7 @@ def test_backward_degenerate_contributes_nothing():
 
 def test_backward_shape_mismatch_rejected():
     p = tiny_params(buckets=8, dim=4)
-    rec = forward_tail(p, TokenIds.pad([[1]]))
+    rec = forward_tail(p, pad([[1]]))
     with pytest.raises(KgcError):
         encode_backward(rec, np.ones((1, 5)))
     with pytest.raises(KgcError):
@@ -366,7 +370,7 @@ def test_batched_forward_and_backward_match_per_text_reference(rng):
         upstream = local.normal(size=(len(texts), dim))
         for forward, table in ((forward_hr, p.hr_table), (forward_tail, p.tail_table)):
             drng = np.random.default_rng(seed) if dropout else None
-            rec = forward(p, TokenIds.pad(texts), dropout, drng)
+            rec = forward(p, pad(texts), dropout, drng)
             ids, grads = encode_backward(rec, upstream)
 
             ref_rng = np.random.default_rng(seed)
@@ -390,9 +394,9 @@ def test_rows_encode_bitwise_alike_alone_and_in_any_batch(rng):
     p = tiny_params(buckets=64, dim=16, seed=4)
     texts = [[int(t) for t in rng.integers(0, 63, size=int(rng.integers(0, 13)))] for _ in range(40)]
     texts[3] = []
-    whole = TokenIds.pad(texts)
+    whole = pad(texts)
     for forward in (forward_hr, forward_tail):
-        alone = np.stack([forward(p, TokenIds.pad([text])).output[0] for text in texts])
+        alone = np.stack([forward(p, pad([text])).output[0] for text in texts])
         assert forward(p, whole).output.tobytes() == alone.tobytes()
         for start in range(0, len(texts), 7):  # chunks trimmed to their longest row
             chunk = forward(p, whole[start : start + 7]).output
@@ -423,7 +427,7 @@ def test_backward_scatter_matches_add_at_bitwise(rng):
     cases = {
         "repeat in a row": [[3, 3, 7, 3], [1, 2]],
         "separator in every row": [
-            combine_query_tokens(h, r, p.buckets, p.max_tokens)
+            query_layout(h, r, p.buckets, p.max_tokens)
             for h, r in ([[1, 2], [4]], [[2], [4]], [[], [5, 1]])
         ],
         "degenerate and empty rows": [[], [4, 4], [], [6]],
@@ -434,11 +438,11 @@ def test_backward_scatter_matches_add_at_bitwise(rng):
         for dropout in (0.0, 0.5):
             for forward in (forward_hr, forward_tail):
                 drng = np.random.default_rng(3) if dropout else None
-                encoding = forward(p, TokenIds.pad(texts), dropout, drng)
+                encoding = forward(p, pad(texts), dropout, drng)
                 upstream = rng.normal(size=encoding.output.shape) * 10.0 ** rng.integers(-8, 9)
                 upstream[:, 1] = -0.0  # signed zeros upstream
                 assert_backward_matches_add_at(encoding, upstream)
-    empty = forward_tail(p, TokenIds.pad([[], []]))
+    empty = forward_tail(p, pad([[], []]))
     ids, grads = assert_backward_matches_add_at(empty, np.ones((2, 5)))
     assert ids.size == 0 and grads.shape == (0, 5)
 
@@ -448,7 +452,7 @@ def test_backward_scatter_adds_shares_in_row_order():
     # shares reach the bucket unrounded: 1.0, 1e16 and -1e16 in column 1
     p = tiny_params(buckets=8, dim=2)
     p.tail_table[5] = [1.0, 0.0]
-    encoding = forward_tail(p, TokenIds.pad([[5], [5], [5]]))
+    encoding = forward_tail(p, pad([[5], [5], [5]]))
     upstream = np.array([[0.0, 1.0], [0.0, 1e16], [-0.0, -1e16]])
     ids, grads = assert_backward_matches_add_at(encoding, upstream)
     assert ids.tolist() == [5]

@@ -10,7 +10,6 @@ from textkgc import encoder as enc
 from textkgc import evaluation as ev
 from textkgc import graph as kg
 from textkgc.encoder import (
-    TokenIds,
     forward_tail,
     tokenize,
 )
@@ -29,7 +28,7 @@ from textkgc.evaluation import (
 )
 from textkgc.graph import Triple, augment_description
 
-from conftest import make_graph, tiny_params
+from conftest import make_graph, pad, tiny_params
 
 REPORT_KEYS = {
     "mrr", "hits1", "hits3", "hits10",
@@ -110,7 +109,7 @@ def test_build_index_rows_encode_augmented_descriptions():
     for row, entity_id in enumerate(idx.entity_ids):
         assert g.entity_numbers([entity_id]).tolist() == [row]
         tokens = tokenize(augment_description(g, entity_id), params.buckets, params.max_tokens)
-        expected = forward_tail(params, TokenIds.pad([tokens])).output[0]
+        expected = forward_tail(params, pad([tokens])).output[0]
         assert np.array_equal(idx.matrix[row], expected)
 
 

@@ -3,10 +3,10 @@ lookup, undeclared ids raising where they are numbered, top-k selection
 and chunked ranking against per-cell, per-query and sort-based
 references kept here, the three losses' gradients against central
 differences, the numbered neighbor walks (text augmentation and the
-re-rank boost) against string-set references kept here, the encoder's
-backward scatter and the touched-row optimizer update against the
-``np.add.at`` and dense references in conftest, and the loaders fed
-corrupted files."""
+re-rank boost) against string-set references kept here, texts to token
+ids against a per-item reference, the encoder's backward scatter and the
+touched-row optimizer update against the ``np.add.at`` and dense
+references in conftest, and the loaders fed corrupted files."""
 
 import math
 import re
@@ -19,6 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from textkgc import encoder as enc
 from textkgc import evaluation as ev
 from textkgc.contrastive import (
     IN_BATCH,
@@ -35,13 +36,13 @@ from textkgc.contrastive import (
 from textkgc.encoder import (
     TAU_FLOOR,
     GradientBuffer,
-    TokenIds,
-    combine_query_tokens,
     encode_backward,
     forward_hr,
     forward_tail,
     load_checkpoint,
     save_checkpoint,
+    separator_index,
+    token_ids,
     tokenize,
 )
 from textkgc.errors import CheckpointError, ParseError, UnknownIdError
@@ -73,7 +74,9 @@ from conftest import (
     dense_apply_update,
     make_graph,
     optimizer_bytes,
+    pad,
     plain_matrix,
+    query_layout,
     reference_encode_backward,
     tiny_params,
     write_dataset,
@@ -535,14 +538,63 @@ def test_query_vector_batch_matches_each_query_alone(pairs, chunk):
         batch = query_vector(g, params, pairs)
     for row, (h, r) in zip(batch, pairs):
         alone = query_vector(g, params, [(h, r)])[0]
-        tokens = combine_query_tokens(
+        tokens = query_layout(
             tokenize(augment_description(g, h), params.buckets, params.max_tokens),
             tokenize(g.relation(r).description, params.buckets, params.max_tokens),
             params.buckets,
             params.max_tokens,
         )
-        direct = forward_hr(params, TokenIds.pad([tokens])).output[0]
+        direct = forward_hr(params, pad([tokens])).output[0]
         assert row.tobytes() == alone.tobytes() == direct.tobytes()
+
+
+# -- texts to token ids ------------------------------------------------------------
+
+_texts = st.one_of(
+    st.sampled_from(["", " ", "  \t\n "]),
+    st.text(alphabet="aB \t\n", max_size=16),
+    st.lists(st.sampled_from(["alpha", "Beta", "c", "DD"]), max_size=40).map(" ".join),
+)
+
+
+def _reference_row(item, buckets, max_tokens):
+    """Each text's ``tokenize``, the separator between two texts, the whole cut to the budget."""
+    row = tokenize(item[0], buckets, max_tokens)
+    for text in item[1:]:
+        row = row + [separator_index(buckets)] + tokenize(text, buckets, max_tokens)
+    return row[:max_tokens]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pool=st.lists(_texts, min_size=1, max_size=6),
+    picks=st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=2), max_size=10),
+    buckets=st.integers(2, 64),
+    max_tokens=st.integers(1, 60),
+    pad_cells=st.sampled_from([1, 7, enc.PAD_CELLS]),
+)
+def test_token_ids_match_a_per_item_reference(pool, picks, buckets, max_tokens, pad_cells):
+    # items of one or two texts, drawn from a small pool so texts repeat
+    items = [[pool[i % len(pool)] for i in pick] for pick in picks]
+    tokenized = []
+
+    def counted(text, *args):
+        tokenized.append(text)
+        return tokenize(text, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enc, "tokenize", counted)
+        mp.setattr(enc, "PAD_CELLS", pad_cells)  # padded in passes of a few rows, or all at once
+        got = token_ids(items, buckets, max_tokens)
+    assert sorted(tokenized) == sorted({text for item in items for text in item})  # once per distinct text
+    want = [_reference_row(item, buckets, max_tokens) for item in items]
+    assert got.ids.dtype == np.int32 and got.lengths.dtype == np.int64
+    assert got.ids.shape == (len(items), max(map(len, want), default=0))
+    assert got.lengths.tolist() == list(map(len, want))
+    assert got.ids.tolist() == [row + [0] * (got.ids.shape[1] - len(row)) for row in want]
+    for item, row in zip(items, want):
+        alone = token_ids([item], buckets, max_tokens)
+        assert alone.ids.tolist() == [row] and alone.lengths.tolist() == [len(row)]
 
 
 # -- the encoder's backward scatter ----------------------------------------------
@@ -561,7 +613,7 @@ def test_backward_scatter_matches_add_at(texts, dim, dropout, exponents, seed):
     params = tiny_params(buckets=8, dim=dim, seed=seed)
     for forward in (forward_hr, forward_tail):
         drng = np.random.default_rng(seed) if dropout else None
-        encoding = forward(params, TokenIds.pad(texts), dropout, drng)
+        encoding = forward(params, pad(texts), dropout, drng)
         scales = 10.0 ** np.resize(np.array(exponents, dtype=float), len(texts))
         upstream = rng.normal(size=(len(texts), dim)) * scales[:, None]
         upstream[rng.random(upstream.shape) < 0.1] = -0.0

@@ -29,7 +29,7 @@ from textkgc.training import (
 )
 
 import synth
-from conftest import dense_apply_update, make_graph, optimizer_bytes, tiny_params
+from conftest import dense_apply_update, make_graph, optimizer_bytes, pad, query_layout, tiny_params
 
 
 def fresh_params(seed=7, buckets=64, dim=8, max_tokens=enc.DEFAULT_MAX_TOKENS):
@@ -398,7 +398,7 @@ def test_token_cache_holds_one_padded_matrix_per_role(monkeypatch):
     for i, (h, r, t) in enumerate(triples):
         head = original(augment_description(g, h, exclude=t), 64, 6)
         rel = original(g.relation(r).description, 64, 6)
-        assert row(cache.query, i) == enc.combine_query_tokens(head, rel, 64, 6)
+        assert row(cache.query, i) == query_layout(head, rel, 64, 6)
         assert row(cache.tail, i) == original(augment_description(g, t, exclude=h), 64, 6)
         assert row(cache.head, i) == head
     picked = cache[np.array([3, 0])]
@@ -412,8 +412,8 @@ def _per_triple_token_cache(g, buckets, max_tokens):
         heads.append(enc.tokenize(augment_description(g, h, exclude=t), buckets, max_tokens))
         relations.append(enc.tokenize(g.relation(r).description, buckets, max_tokens))
         tails.append(enc.tokenize(augment_description(g, t, exclude=h), buckets, max_tokens))
-    queries = [enc.combine_query_tokens(h, r, buckets, max_tokens) for h, r in zip(heads, relations)]
-    return enc.TokenIds.pad(queries), enc.TokenIds.pad(tails), enc.TokenIds.pad(heads)
+    queries = [query_layout(h, r, buckets, max_tokens) for h, r in zip(heads, relations)]
+    return pad(queries), pad(tails), pad(heads)
 
 
 @pytest.mark.parametrize("max_tokens", [3, 6, 50])
