@@ -5,13 +5,16 @@ single ranking code path covers both directions.  Candidates that form a
 known-true triple with the query are discarded before ranking (the target
 itself always stays), ties share a mean rank, and an optional re-ranking pass
 adds a constant boost to the head's k-hop train-graph neighborhood.  A split
-is ranked in chunks of queries, each scored against every entity at once.
+is ranked in chunks of queries, each scored against every entity at once by
+one BLAS product; only the candidates whose product lies within rounding
+distance of the target's are re-scored exactly, so ranks and ties are those
+of the exact scores.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -28,6 +31,8 @@ HITS_LEVELS = (1, 3, 10)
 UNKNOWN_CATEGORY = "unknown"
 INDEX_CHUNK = 256  # texts encoded per forward pass; bounds the (chunk, L, d) gather
 RANK_CELLS = 2**18  # (query, entity) scores per ranked chunk; bounds the (chunk, E) blocks
+UNIT_ROUNDOFF = 2.0**-53
+SMALLEST_SUBNORMAL = 2.0**-1074
 
 
 @dataclass(frozen=True)
@@ -47,18 +52,39 @@ class RerankConfig:
 
 @dataclass
 class EntityEmbeddingIndex:
-    """All entity vectors as rows, in strictly increasing id order; built from
-    a graph, row i is the graph's entity number i (``entity_numbers``)."""
+    """All entity vectors as finite rows, in strictly increasing id order;
+    built from a graph, row i is the graph's entity number i (``entity_numbers``)."""
 
     entity_ids: list[str]
     matrix: np.ndarray
     forward_passes: int
+    max_row_norm: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.entity_ids):
             raise KgcError("index needs one matrix row per entity id")
         if any(a >= b for a, b in zip(self.entity_ids, self.entity_ids[1:])):
             raise KgcError("index entity ids must be strictly increasing")
+        if not np.isfinite(self.matrix).all():
+            raise KgcError("index matrix must be finite")
+        # einsum sums a cell in another order when the rows are not contiguous
+        self.matrix = np.ascontiguousarray(self.matrix)
+        self.max_row_norm = float(np.linalg.norm(self.matrix, axis=1).max(initial=0.0))
+
+    def score_band(self, queries: np.ndarray, alpha: float) -> np.ndarray:
+        """Per query row, a bound on how far two computed scores of one of its
+        cells lie apart, whatever order the dot products sum in, boost included.
+
+        Each sum of d products is within ``γ_d·‖q‖·‖m‖`` (plus ``d`` subnormal
+        steps of underflow) of the true dot, and adding ``alpha`` rounds once
+        more; the bound is doubled so that the rounding of the norms and of
+        this arithmetic cannot make it too small.  Too large only costs
+        re-scoring.
+        """
+        d = self.matrix.shape[1]
+        gamma = d * UNIT_ROUNDOFF / (1.0 - d * UNIT_ROUNDOFF)
+        reach = np.linalg.norm(queries, axis=1) * self.max_row_norm
+        return 4.0 * (gamma * reach + d * SMALLEST_SUBNORMAL + UNIT_ROUNDOFF * (reach + alpha))
 
 
 def build_index(g: KnowledgeGraph, params: enc.EncoderParams) -> EntityEmbeddingIndex:
@@ -99,23 +125,20 @@ def rerank_scores(scores: np.ndarray, rows: np.ndarray, alpha: float) -> np.ndar
     return out
 
 
-def _candidate_scores(
-    g: KnowledgeGraph,
-    idx: EntityEmbeddingIndex,
-    heads: Sequence[str],
-    queries: np.ndarray,
-    rerank: Optional[RerankConfig],
-) -> np.ndarray:
-    """(query, entity) scores, each head's k-hop boost added to its query's row."""
-    if len(idx.entity_ids) != len(g.entities):
-        raise KgcError("the index must hold every entity of the graph")
-    # one dot per cell, each summed the same way whatever the chunk, so
-    # identical rows tie exactly (a BLAS product sums some cells in another order)
-    scores = np.einsum("qj,ij->qi", queries, idx.matrix)
-    if rerank is not None and rerank.alpha != 0.0:
-        for row, head in enumerate(heads):
-            scores[row] = rerank_scores(scores[row], k_hop_neighbors(g, head, rerank.hops), rerank.alpha)
-    return scores
+def _exact_scores(queries: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """(query, row) dot products, each cell summed in one fixed order whatever
+    the other rows, so identical rows tie exactly; every score that decides
+    a tie or a top-k row comes from here (a BLAS product sums some cells in
+    another order)."""
+    return np.einsum("qj,ij->qi", queries, matrix)
+
+
+def _neighborhoods(g: KnowledgeGraph, heads: Sequence[str], hops: int) -> np.ndarray:
+    """(head, entity) mask of each head's ``hops``-hop train neighborhood."""
+    mask = np.zeros((len(heads), len(g.entities)), dtype=bool)
+    for row, head in enumerate(heads):
+        mask[row, k_hop_neighbors(g, head, hops)] = True
+    return mask
 
 
 def _rank_chunk(
@@ -125,17 +148,44 @@ def _rank_chunk(
     queries: np.ndarray,
     rerank: Optional[RerankConfig],
 ) -> np.ndarray:
-    """The ``rank_one`` rank of each triple, given its query vector as a row of ``queries``."""
+    """The ``rank_one`` rank of each triple, given its query vector as a row of ``queries``.
+
+    Every cell is scored by one BLAS product, which lies within the index's
+    ``score_band`` of the exact score.  A candidate whose product is further
+    than twice that from the target's product is above or below the target's
+    exact score whatever the rounding; only the candidates nearer than that,
+    the target among them, are re-scored exactly and compared, so no tie is
+    decided on a BLAS score.
+    """
     targets = g.entity_numbers([t for _, _, t in triples])
     heads = [h for h, _, _ in triples]
-    scores = _candidate_scores(g, idx, heads, queries, rerank)
+    if len(idx.entity_ids) != len(g.entities):
+        raise KgcError("the index must hold every entity of the graph")
+    alpha, boosted = 0.0, None
+    if rerank is not None and rerank.alpha != 0.0:
+        alpha, boosted = rerank.alpha, _neighborhoods(g, heads, rerank.hops)
+    scores = queries @ idx.matrix.T
+    if boosted is not None:
+        np.add(scores, alpha, out=scores, where=boosted)
     rows = np.arange(len(triples))
-    kept = np.ones(scores.shape, dtype=bool)
-    kept[g.known_tails(g.entity_numbers(heads), g.relation_numbers([r for _, r, _ in triples]))] = False
-    kept[rows, targets] = True
-    target_scores = scores[rows, targets][:, None]
-    greater = np.count_nonzero(kept & (scores > target_scores), axis=1)
-    equal = np.count_nonzero(kept & (scores == target_scores), axis=1)  # includes the target
+    target_scores = scores[rows, targets]
+    # filtered candidates are nan, which no comparison counts
+    scores[g.known_tails(g.entity_numbers(heads), g.relation_numbers([r for _, r, _ in triples]))] = np.nan
+    scores[rows, targets] = target_scores
+    band = 2.0 * idx.score_band(queries, alpha)
+    above = (target_scores + band)[:, None]
+    below = (target_scores - band)[:, None]
+    greater = np.count_nonzero(scores > above, axis=1)
+    near = np.count_nonzero(scores >= below, axis=1) - greater  # includes the target
+    equal = np.ones(len(triples), dtype=np.int64)
+    for row in np.flatnonzero(near > 1).tolist():
+        cands = np.flatnonzero((scores[row] >= below[row]) & (scores[row] <= above[row]))
+        exact = _exact_scores(queries[row : row + 1], idx.matrix[cands])[0]
+        if boosted is not None:
+            np.add(exact, alpha, out=exact, where=boosted[row, cands])
+        target = exact[np.searchsorted(cands, targets[row])]
+        greater[row] += np.count_nonzero(exact > target)
+        equal[row] = np.count_nonzero(exact == target)
     return 1.0 + greater + (equal - 1) / 2.0
 
 
@@ -273,7 +323,11 @@ def predict_topk(
     if k < 1:
         raise KgcError(f"k must be >= 1, got {k}")
     query = query_vector(g, params, [(head, relation)])
-    scores = _candidate_scores(g, idx, [head], query, rerank)[0]
+    if len(idx.entity_ids) != len(g.entities):
+        raise KgcError("the index must hold every entity of the graph")
+    scores = _exact_scores(query, idx.matrix)[0]
+    if rerank is not None and rerank.alpha != 0.0:
+        scores = rerank_scores(scores, k_hop_neighbors(g, head, rerank.hops), rerank.alpha)
     k = min(k, scores.size)
     # every row scoring at least the k-th largest score, ties included, in
     # row order; rows are in id order, so a stable sort breaks ties by id

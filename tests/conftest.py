@@ -11,7 +11,8 @@ from textkgc import training as tr
 from textkgc.contrastive import IN_BATCH, CandidateMatrix
 from textkgc.encoder import EncoderParams, TokenIds, separator_index
 from textkgc.errors import NumericError
-from textkgc.graph import Entity, KnowledgeGraph, Relation, Triple, add_inverse_triples
+from textkgc.evaluation import rerank_scores
+from textkgc.graph import Entity, KnowledgeGraph, Relation, Triple, add_inverse_triples, k_hop_neighbors
 from textkgc.randomness import named_stream
 
 
@@ -130,6 +131,29 @@ def optimizer_bytes(params, state):
     """The bytes of both tables, all four moment tables and the temperature."""
     arrays = (params.hr_table, params.tail_table, state.m_hr, state.v_hr, state.m_tail, state.v_tail)
     return [a.tobytes() for a in arrays] + [np.float64(params.log_inv_tau).tobytes()]
+
+
+def reference_rank_chunk(g, idx, triples, queries, rerank):
+    """Reference ``evaluation._rank_chunk``: every cell scored by one exact einsum.
+
+    Each head's boost is added to its query's row, filtered candidates are
+    dropped by a mask, and ties are bitwise-equal einsum scores; the banded
+    ranks must match these bit for bit.
+    """
+    targets = g.entity_numbers([t for _, _, t in triples])
+    heads = [h for h, _, _ in triples]
+    scores = np.einsum("qj,ij->qi", queries, idx.matrix)
+    if rerank is not None and rerank.alpha != 0.0:
+        for row, head in enumerate(heads):
+            scores[row] = rerank_scores(scores[row], k_hop_neighbors(g, head, rerank.hops), rerank.alpha)
+    rows = np.arange(len(triples))
+    kept = np.ones(scores.shape, dtype=bool)
+    kept[g.known_tails(g.entity_numbers(heads), g.relation_numbers([r for _, r, _ in triples]))] = False
+    kept[rows, targets] = True
+    target_scores = scores[rows, targets][:, None]
+    greater = np.count_nonzero(kept & (scores > target_scores), axis=1)
+    equal = np.count_nonzero(kept & (scores == target_scores), axis=1)  # includes the target
+    return 1.0 + greater + (equal - 1) / 2.0
 
 
 def plain_matrix(scores, provenance=None, mask=None, sn_column=None):

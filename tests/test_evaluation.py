@@ -71,6 +71,27 @@ def test_index_rejects_ids_out_of_order():
         crafted_index(["a", "a"], np.eye(2))
 
 
+def test_index_rejects_a_non_finite_matrix():
+    # a nan row would never rank above anything, and would make the score band nan
+    for bad in (np.nan, np.inf, -np.inf):
+        matrix = np.eye(3)
+        matrix[1, 2] = bad
+        with pytest.raises(KgcError, match="index matrix must be finite"):
+            crafted_index(["a", "b", "c"], matrix)
+
+
+def test_index_records_its_largest_row_norm_and_keeps_rows_contiguous():
+    matrix = np.asfortranarray([[3.0, 4.0], [0.0, 0.5], [1.0, 0.0]])
+    idx = crafted_index(["a", "b", "c"], matrix)
+    assert idx.max_row_norm == 5.0
+    # einsum sums a cell of a column-major matrix in another order
+    assert idx.matrix.flags.c_contiguous
+    assert idx.matrix.tobytes() == np.ascontiguousarray(matrix).tobytes()
+    band = idx.score_band(np.array([[1.0, 0.0], [0.0, 2.0]]), alpha=0.0)
+    assert band.shape == (2,) and band[1] > band[0] > 0.0
+    assert crafted_index([], np.empty((0, 2))).max_row_norm == 0.0
+
+
 def test_index_rows_are_the_graph_entity_numbers():
     g = make_graph(train=[("c", "r", "a"), ("d", "r", "a")], augment=True)
     params = tiny_params()
@@ -515,6 +536,34 @@ def test_identical_rows_tie_exactly_in_rank_and_topk():
     assert [e for e, _ in tied] == twins  # ordered by id
     assert len({s for _, s in tied}) == 1  # bitwise-equal scores
     assert all(scores[r] == scores[twin_rows[0]] for r in twin_rows)
+
+
+def test_twins_in_the_tail_rows_tie_in_rank_and_topk():
+    # 15 rows: OpenBLAS's matrix-vector kernel sums the last 15 mod 4 rows
+    # in another order, which splits these twins by a rounding step
+    others = [f"o{i}" for i in range(4)]
+    twins = [f"t{i}" for i in range(10)]
+    g = make_graph(train=[("a", "r", "o0")] + [("o1", "q", t) for t in twins], augment=True, entities=others)
+    params = tiny_params(buckets=64, dim=32, seed=8)
+    q = query_vector(g, params, [("a", "r")])[0]
+    ids = sorted(g.entities)  # a, o0..o3, t0..t9: the twins hold every tail row
+    assert len(ids) % 4 == 3
+    rng = np.random.default_rng(3)
+    twin = rng.normal(size=32)
+    twin /= np.linalg.norm(twin)
+    rows = [twin if e in twins else rng.normal(size=32) / 4.0 for e in ids]
+    idx = crafted_index(ids, rows)
+    scores = np.einsum("ij,j->i", idx.matrix, q)
+    twin_score = scores[ids.index("t0")]
+    assert all(scores[ids.index(t)] == twin_score for t in twins)
+
+    others_above = sum(1 for e in ids if e not in twins and scores[ids.index(e)] > twin_score)
+    for t in ("t0", "t9"):
+        assert rank_one(g, idx, params, Triple("a", "r", t)) == 1.0 + others_above + (10 - 1) / 2.0
+    top = predict_topk(g, idx, params, "a", "r", k=len(ids))
+    tied = [(e, s) for e, s, _ in top if e in twins]
+    assert [e for e, _ in tied] == twins  # ordered by id
+    assert len({s for _, s in tied}) == 1  # bitwise-equal scores
 
 
 def test_predict_topk_clamps_k_and_validates():

@@ -4,9 +4,10 @@ and chunked ranking against per-cell, per-query and sort-based
 references kept here, the three losses' gradients against central
 differences, the numbered neighbor walks (text augmentation and the
 re-rank boost) against string-set references kept here, texts to token
-ids against a per-item reference, the encoder's backward scatter and the
-touched-row optimizer update against the ``np.add.at`` and dense
-references in conftest, and the loaders fed corrupted files."""
+ids against a per-item reference, the banded ranks, the encoder's
+backward scatter and the touched-row optimizer update against the
+einsum, ``np.add.at`` and dense references in conftest, and the loaders
+fed corrupted files."""
 
 import math
 import re
@@ -54,6 +55,7 @@ from textkgc.evaluation import (
     query_vector,
     rank_one,
     read_embeddings,
+    rerank_scores,
     write_embeddings,
 )
 from textkgc.graph import (
@@ -78,6 +80,7 @@ from conftest import (
     plain_matrix,
     query_layout,
     reference_encode_backward,
+    reference_rank_chunk,
     tiny_params,
     write_dataset,
 )
@@ -223,7 +226,9 @@ def test_predict_topk_matches_sorted_reference(levels, k, rerank):
     idx = EntityEmbeddingIndex(ids, np.outer([0.1 * level for level in levels], q[0]), forward_passes=0)
     cfg = RerankConfig(0.05, 2) if rerank else None
 
-    scores = ev._candidate_scores(g, idx, [ids[0]], q, cfg)[0]
+    scores = ev._exact_scores(q, idx.matrix)[0]
+    if cfg is not None:
+        scores = rerank_scores(scores, k_hop_neighbors(g, ids[0], cfg.hops), cfg.alpha)
     order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))[:k]
     _, tails = g.known_tails(g.entity_numbers(ids[:1]), g.relation_numbers(["r"]))
     known = {ids[n] for n in tails.tolist()}  # ids are sorted
@@ -430,11 +435,19 @@ def test_rerank_boost_matches_a_per_neighbor_loop(train, test, heads, alpha, hop
     rng = np.random.default_rng(seed)
     idx = EntityEmbeddingIndex(list(g.entity_ids), rng.normal(size=(len(g.entity_ids), 4)), forward_passes=0)
     queries = rng.normal(size=(len(heads), 4))
-    got = ev._candidate_scores(g, idx, heads, queries, RerankConfig(alpha, hops))
-    want = ev._candidate_scores(g, idx, heads, queries, None)
+    base = ev._exact_scores(queries, idx.matrix)
+    mask = ev._neighborhoods(g, heads, hops)
+    want = base.copy()
     for row, h in enumerate(heads):
+        assert set(np.flatnonzero(mask[row]).tolist()) == {idx.entity_ids.index(e) for e in _reference_hood(g, h, hops)}
         for e in _reference_hood(g, h, hops):
             want[row, idx.entity_ids.index(e)] += alpha
+        # predict_topk's boost
+        got = rerank_scores(base[row], k_hop_neighbors(g, h, hops), alpha)
+        assert got.tobytes() == want[row].tobytes()
+    # _rank_chunk's boost, one mask per chunk
+    got = base.copy()
+    np.add(got, alpha, out=got, where=mask)
     assert got.tobytes() == want.tobytes()
 
 
@@ -511,6 +524,77 @@ def test_evaluate_ranks_match_rank_one_and_a_sort_reference(train, valid, test, 
         q = query_vector(g, params, [row.triple[:2]])[0]
         assert row.rank == rank_one(g, idx, params, row.triple, cfg)
         assert row.rank == _sort_reference_rank(g, idx, q, row.triple, cfg)
+
+
+_ROW_MAKES = st.tuples(st.sampled_from(["fresh", "copy", "up", "down"]), st.integers(0, 2**16))
+_PAIRS = st.tuples(st.integers(0, 22), st.integers(0, 22))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 23),  # most counts are no multiple of 4, so BLAS sums the tail rows in another order
+    dim=st.integers(1, 40),
+    makes=st.lists(_ROW_MAKES, min_size=23, max_size=23),
+    train=st.lists(_PAIRS, min_size=1, max_size=12),
+    test=st.lists(_PAIRS, min_size=1, max_size=8),
+    boost=st.sampled_from(["off", "zero", "tie", "any"]),
+    hops=st.integers(1, 2),
+    chunk=st.sampled_from([1, 2, 3, 1000]),
+    seed=st.integers(0, 2**16),
+)
+@example(  # three twins and a 1-ulp neighbor of e00 in the tail rows of 7
+    n=7, dim=32, makes=[("fresh", 0)] * 3 + [("copy", 0), ("up", 0), ("copy", 0), ("down", 0)] + [("fresh", 0)] * 16,
+    train=[(1, 2)], test=[(1, 0), (2, 0), (0, 6)], boost="off", hops=1, chunk=1, seed=0,
+)
+def test_banded_ranks_match_the_einsum_reference(n, dim, makes, train, test, boost, hops, chunk, seed):
+    # rows are fresh (norms in [0.5, 2]), exact copies of an earlier row, or
+    # that row with one component moved one ulp up or down
+    rng = np.random.default_rng(seed)
+    ids = [f"e{i:02d}" for i in range(n)]
+    g = make_graph(
+        train=[(ids[h % n], "r", ids[t % n]) for h, t in train],
+        test=[(ids[h % n], "r", ids[t % n]) for h, t in test],
+        entities=ids,
+        augment=True,
+    )
+    rows = np.empty((n, dim))
+    for i, (make, pick) in enumerate(makes[:n]):
+        if make == "fresh" or i == 0:
+            v = rng.normal(size=dim)
+            rows[i] = v / np.linalg.norm(v) * rng.uniform(0.5, 2.0)
+            continue
+        rows[i] = rows[pick % i]
+        if make != "copy":
+            j = pick % dim
+            rows[i, j] = np.nextafter(rows[i, j], np.inf if make == "up" else -np.inf)
+    idx = EntityEmbeddingIndex(ids, rows, forward_passes=0)
+    params = tiny_params(dim=dim, seed=seed)
+    triples = g.triples("test")
+    queries = query_vector(g, params, [(h, r) for h, r, _ in triples])
+
+    alpha = float(rng.uniform(0.0, 0.5)) if boost == "any" else 0.0
+    if boost == "tie":  # the boost lifts a neighbor of the first head onto a row outside its neighborhood
+        exact = np.einsum("qj,ij->qi", queries[:1], idx.matrix)[0]
+        hood = k_hop_neighbors(g, triples[0].head, hops).tolist()
+        gaps = [exact[a] - exact[b] for a in range(n) if a not in hood for b in hood if exact[a] >= exact[b]]
+        alpha = float(gaps[seed % len(gaps)]) if gaps else 0.0
+    cfg = None if boost == "off" else RerankConfig(alpha, hops)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ev, "RANK_CELLS", chunk * n)  # chunk queries per ranked block
+        got = np.array([row.rank for row in evaluate(g, idx, params, "test", cfg).rankings])
+    assert got.tobytes() == reference_rank_chunk(g, idx, triples, queries, cfg).tobytes()
+
+    # queries that are not unit vectors, straight into the ranker
+    raw = rng.normal(size=(len(triples), dim)) * rng.uniform(0.5, 2.0, size=(len(triples), 1))
+    got = ev._rank_chunk(g, idx, triples, raw, cfg)
+    assert got.tobytes() == reference_rank_chunk(g, idx, triples, raw, cfg).tobytes()
+
+    # a re-scored cell is the full einsum's cell, whichever rows are re-scored
+    full = np.einsum("qj,ij->qi", raw, idx.matrix)
+    for row in range(len(triples)):
+        cols = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+        assert ev._exact_scores(raw[row : row + 1], idx.matrix[cols])[0].tobytes() == full[row, cols].tobytes()
 
 
 _RELATIONS = ["r", "s", "inverse::r", "inverse::s"]
