@@ -17,7 +17,6 @@ from .contrastive import (
     limit_negatives,
     margin_loss,
     margin_tau_loss,
-    score_matrix,
 )
 from .encoder import (
     EncoderParams,
@@ -54,7 +53,6 @@ from .graph import (
     add_inverse_triples,
     augment_description,
     classify_relation,
-    is_known_triple,
     k_hop_neighbors,
     load_graph,
 )
@@ -100,7 +98,6 @@ __all__ = [
     "forward_hr",
     "forward_tail",
     "infonce_loss",
-    "is_known_triple",
     "k_hop_neighbors",
     "limit_negatives",
     "load_checkpoint",
@@ -115,7 +112,6 @@ __all__ = [
     "rerank_scores",
     "run_batch",
     "save_checkpoint",
-    "score_matrix",
     "temperature",
     "tokenize",
     "train",

@@ -6,8 +6,10 @@ sources: the other rows' tails (in-batch), a FIFO queue of frozen tail
 embeddings from recent batches (pre-batch), and each row's own head encoded
 by the tail encoder (self-negative, one extra column scored row-wise).
 
-False negatives -- candidates that form a known-true triple with the row's
-query, or that equal the row's tail entity -- are masked.  Masking means
+Batch rows are (head, relation, tail) numbers of the graph and the queue
+keeps each queued tail's entity number, so false negatives -- candidates
+that form a known-true triple with the row's query, or that equal the
+row's tail entity -- are masked on numbers alone.  Masking means
 exclusion from the softmax and hinge sums, never a -inf sentinel, so masked
 cells get exactly zero gradient and no overflow path exists.
 
@@ -19,13 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .encoder import TAU_FLOOR, temperature
 from .errors import KgcError
-from .graph import KnowledgeGraph, Triple
+from .graph import KnowledgeGraph
 
 IN_BATCH = "IB"
 PRE_BATCH = "PB"
@@ -58,18 +60,15 @@ class LossConfig:
 class TrainingBatch:
     """One step's triples and their freshly encoded embeddings."""
 
-    rows: Sequence[Triple]
+    rows: np.ndarray  # (B, 3) (head, relation, tail) numbers of the graph
     hr_embs: np.ndarray  # (B, d) query vectors
     tail_embs: np.ndarray  # (B, d) positive tail vectors
     self_embs: Optional[np.ndarray] = None  # (B, d) heads encoded as candidates
 
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
 
 class PreBatchQueue:
-    """FIFO store of frozen tail embeddings from the most recent batches.
+    """FIFO store of frozen tail embeddings from the most recent batches,
+    each with the entity number of its tail.
 
     Entries are copies; nothing backpropagates into them.  Pushing beyond
     capacity evicts the oldest entries.  A zero-capacity queue stays empty.
@@ -79,40 +78,27 @@ class PreBatchQueue:
         if capacity < 0:
             raise KgcError(f"queue capacity must be >= 0, got {capacity}")
         self.capacity = capacity
-        self._ids: list[str] = []
+        self.entity_numbers = np.zeros(0, dtype=np.int64)  # (len,) of the queued tails, read-only
         self._embs: Optional[np.ndarray] = None  # (len, d), read-only
 
-    def push(self, tail_embs: np.ndarray, entity_ids: Sequence[str]) -> "PreBatchQueue":
-        if len(entity_ids) != tail_embs.shape[0]:
-            raise KgcError("one entity id per embedding row is required")
-        ids = self._ids + list(entity_ids)
-        start = max(len(ids) - self.capacity, 0)  # ids[-capacity:] would keep every row at 0
+    def push(self, tail_embs: np.ndarray, entity_numbers: np.ndarray) -> "PreBatchQueue":
+        if len(entity_numbers) != tail_embs.shape[0]:
+            raise KgcError("one entity number per embedding row is required")
+        numbers = np.concatenate([self.entity_numbers, np.asarray(entity_numbers, dtype=np.int64)])
+        start = max(numbers.size - self.capacity, 0)  # numbers[-capacity:] would keep every row at 0
         rows = tail_embs if self._embs is None else np.concatenate([self._embs, tail_embs])
-        self._embs, self._ids = rows[start:].copy(), ids[start:]
-        self._embs.flags.writeable = False
+        self._embs, self.entity_numbers = rows[start:].copy(), numbers[start:]
+        self._embs.flags.writeable = self.entity_numbers.flags.writeable = False
         return self
 
     def __len__(self) -> int:
-        return len(self._ids)
-
-    @property
-    def entity_ids(self) -> list[str]:
-        return list(self._ids)
+        return self.entity_numbers.size
 
     def embeddings(self) -> np.ndarray:
         """The queued rows, oldest first, as one read-only array."""
-        if not self._ids:
+        if not len(self):
             raise KgcError("queue is empty")
         return self._embs
-
-
-def score_matrix(hr_embs: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """Cosine scores between unit query vectors and unit candidate vectors."""
-    if hr_embs.ndim != 2 or candidates.ndim != 2 or hr_embs.shape[1] != candidates.shape[1]:
-        raise KgcError(
-            f"shape mismatch: queries {hr_embs.shape} vs candidates {candidates.shape}"
-        )
-    return hr_embs @ candidates.T
 
 
 @dataclass
@@ -147,7 +133,8 @@ def assemble_candidates(
 ) -> CandidateMatrix:
     """Score the batch against its candidate pool and mask false negatives.
 
-    A candidate entity e is masked for row (h, r, t) when (h, r, e) is a
+    Scores are cosines of the unit query and candidate vectors.  A
+    candidate entity e is masked for row (h, r, t) when (h, r, e) is a
     known triple in any split, or when e equals t (a duplicate of the
     positive).  The diagonal positive is always unmasked.
     """
@@ -157,23 +144,19 @@ def assemble_candidates(
     if use_self_negatives and (batch.self_embs is None or batch.self_embs.shape != (B, d)):
         raise KgcError("self-negatives requested but self embeddings are missing")
 
-    queue_ids = queue.entity_ids
-    Q = len(queue_ids)
+    Q = len(queue)
     blocks = [batch.tail_embs] if Q == 0 else [batch.tail_embs, queue.embeddings()]
     C = B + Q + (1 if use_self_negatives else 0)
 
     scores = np.empty((B, C))
-    scores[:, : B + Q] = score_matrix(batch.hr_embs, np.vstack(blocks))
+    scores[:, : B + Q] = batch.hr_embs @ np.vstack(blocks).T
     provenance = np.array([IN_BATCH] * B + [PRE_BATCH] * Q + ([SELF_NEGATIVE] if use_self_negatives else []))
     sn_column = C - 1 if use_self_negatives else None
     if use_self_negatives:
         scores[:, sn_column] = (batch.hr_embs * batch.self_embs).sum(axis=1)
 
-    numbers = g.entity_numbers(
-        [row.tail for row in batch.rows] + queue_ids + [row.head for row in batch.rows]
-    )
-    tails, candidates, heads = numbers[:B], numbers[: B + Q], numbers[B + Q :]
-    relations = g.relation_numbers([row.relation for row in batch.rows])
+    heads, relations, tails = batch.rows.T
+    candidates = np.concatenate([tails, queue.entity_numbers])
 
     mask = np.ones((B, C), dtype=bool)
     mask[:, : B + Q] = ~(

@@ -22,13 +22,12 @@ import numpy as np
 from . import encoder as enc
 from .errors import CheckpointError, KgcError, UnknownIdError
 from .files import format_row, parse_row, read_lines, replace_file
-from .graph import KnowledgeGraph, Triple, augment_description, k_hop_neighbors
+from .graph import CATEGORIES, KnowledgeGraph, Triple, augment_description, k_hop_neighbors
 
 TAIL_DIRECTION = "tail"
 HEAD_DIRECTION = "head"
 DIRECTIONS = (TAIL_DIRECTION, HEAD_DIRECTION)
 HITS_LEVELS = (1, 3, 10)
-UNKNOWN_CATEGORY = "unknown"
 INDEX_CHUNK = 256  # texts encoded per forward pass; bounds the (chunk, L, d) gather
 RANK_CELLS = 2**18  # (query, entity) scores per ranked chunk; bounds the (chunk, E) blocks
 UNIT_ROUNDOFF = 2.0**-53
@@ -133,22 +132,24 @@ def _exact_scores(queries: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return np.einsum("qj,ij->qi", queries, matrix)
 
 
-def _neighborhoods(g: KnowledgeGraph, heads: Sequence[str], hops: int) -> np.ndarray:
-    """(head, entity) mask of each head's ``hops``-hop train neighborhood."""
+def _neighborhoods(g: KnowledgeGraph, heads: np.ndarray, hops: int) -> np.ndarray:
+    """(head, entity) mask of each head's ``hops``-hop train neighborhood,
+    given the heads' entity numbers."""
     mask = np.zeros((len(heads), len(g.entities)), dtype=bool)
-    for row, head in enumerate(heads):
-        mask[row, k_hop_neighbors(g, head, hops)] = True
+    for row, head in enumerate(heads.tolist()):
+        mask[row, k_hop_neighbors(g, g.entity_ids[head], hops)] = True
     return mask
 
 
 def _rank_chunk(
     g: KnowledgeGraph,
     idx: EntityEmbeddingIndex,
-    triples: Sequence[Triple],
+    triples: np.ndarray,
     queries: np.ndarray,
     rerank: Optional[RerankConfig],
 ) -> np.ndarray:
-    """The ``rank_one`` rank of each triple, given its query vector as a row of ``queries``.
+    """The ``rank_one`` rank of each (head, relation, tail) number row of
+    ``triples``, given its query vector as a row of ``queries``.
 
     Every cell is scored by one BLAS product, which lies within the index's
     ``score_band`` of the exact score.  A candidate whose product is further
@@ -157,8 +158,7 @@ def _rank_chunk(
     the target among them, are re-scored exactly and compared, so no tie is
     decided on a BLAS score.
     """
-    targets = g.entity_numbers([t for _, _, t in triples])
-    heads = [h for h, _, _ in triples]
+    heads, relations, targets = triples.T
     if len(idx.entity_ids) != len(g.entities):
         raise KgcError("the index must hold every entity of the graph")
     alpha, boosted = 0.0, None
@@ -170,7 +170,7 @@ def _rank_chunk(
     rows = np.arange(len(triples))
     target_scores = scores[rows, targets]
     # filtered candidates are nan, which no comparison counts
-    scores[g.known_tails(g.entity_numbers(heads), g.relation_numbers([r for _, r, _ in triples]))] = np.nan
+    scores[g.known_tails(heads, relations)] = np.nan
     scores[rows, targets] = target_scores
     band = 2.0 * idx.score_band(queries, alpha)
     above = (target_scores + band)[:, None]
@@ -201,33 +201,44 @@ def rank_one(
     Candidates t' != t with (h, r, t') known in any split are discarded.
     rank = 1 + #{kept strictly above target} + #{kept tied with target}/2.
     """
-    query = query_vector(g, params, [(triple.head, triple.relation)])
-    return float(_rank_chunk(g, idx, [triple], query, rerank)[0])
+    numbers = g.triple_numbers([triple])
+    query = query_vector(g, params, [triple[:2]])
+    return float(_rank_chunk(g, idx, numbers, query, rerank)[0])
 
 
 class TripleRanking(NamedTuple):
     triple: Triple
-    direction: str
     rank: float
-    category: str
 
 
-def _metrics(ranks: list[float]) -> dict[str, float]:
-    arr = np.asarray(ranks, dtype=float)
-    out = {"mrr": float(np.mean(1.0 / arr))}
+def _metrics(ranks: np.ndarray) -> dict[str, float]:
+    out = {"mrr": float(np.mean(1.0 / ranks))}
     for level in HITS_LEVELS:
-        out[f"hits{level}"] = float(np.mean(arr <= level))
+        out[f"hits{level}"] = float(np.mean(ranks <= level))
     return out
 
 
 @dataclass
 class RankingResult:
-    rankings: list[TripleRanking]
+    """The ranks of one split's triples, in ``split_array`` order, and their metrics."""
+
+    graph: KnowledgeGraph
+    triples: np.ndarray  # (n, 3) (head, relation, tail) numbers of the ranked triples
+    ranks: np.ndarray  # (n,) filtered ranks
     per_direction: dict[str, dict[str, float]]
     overall: dict[str, float]
     by_category: dict[str, dict[str, float]]
     forward_passes: int
     reranked: bool
+
+    @property
+    def rankings(self) -> list[TripleRanking]:
+        """Each ranked triple, as ids, with its rank; built on each read."""
+        ids, relation_ids = self.graph.entity_ids, self.graph.relation_ids
+        return [
+            TripleRanking(Triple(ids[h], relation_ids[r], ids[t]), rank)
+            for (h, r, t), rank in zip(self.triples.tolist(), self.ranks.tolist())
+        ]
 
     def report(self) -> dict:
         out: dict = dict(self.overall)
@@ -239,14 +250,13 @@ class RankingResult:
         return out
 
 
-def breakdown_by_category(rankings: list[TripleRanking]) -> dict[str, dict[str, float]]:
-    """MRR and triple count per relation category; empty groups never appear."""
-    groups: dict[str, list[float]] = {}
-    for row in rankings:
-        groups.setdefault(row.category, []).append(row.rank)
+def breakdown_by_category(categories: np.ndarray, ranks: np.ndarray) -> dict[str, dict[str, float]]:
+    """MRR and triple count per relation category, given each ranked
+    triple's index into ``CATEGORIES``; empty groups never appear."""
+    counts = np.bincount(categories, minlength=len(CATEGORIES))
     return {
-        cat: {"mrr": float(np.mean([1.0 / r for r in ranks])), "count": len(ranks)}
-        for cat, ranks in groups.items()
+        CATEGORIES[c]: {"mrr": float(np.mean(1.0 / ranks[categories == c])), "count": int(counts[c])}
+        for c in np.flatnonzero(counts).tolist()
     }
 
 
@@ -266,41 +276,35 @@ def evaluate(
     """
     if not g.inverse_augmented:
         raise KgcError("evaluation requires an inverse-augmented graph")
-    triples = g.triples(split)
-    if not triples:
+    triples = g.split_array(split)
+    if not len(triples):
         raise KgcError(f"split {split!r} has no triples")
 
-    queries = query_vector(g, params, [(h, r) for h, r, _ in triples])
+    ids, relation_ids = g.entity_ids, g.relation_ids
+    queries = query_vector(g, params, [(ids[h], relation_ids[r]) for h, r, _ in triples.tolist()])
     chunk = max(1, RANK_CELLS // max(1, len(idx.entity_ids)))
-    ranked = np.concatenate([
+    ranks = np.concatenate([
         _rank_chunk(g, idx, triples[start : start + chunk], queries[start : start + chunk], rerank)
         for start in range(0, len(triples), chunk)
     ])
-    rankings = [
-        TripleRanking(
-            triple,
-            HEAD_DIRECTION if g.relation(triple.relation).is_inverse else TAIL_DIRECTION,
-            rank,
-            g.relation_category(triple.relation) or UNKNOWN_CATEGORY,
-        )
-        for triple, rank in zip(triples, ranked.tolist())
-    ]
 
+    inverse = g.is_inverse[triples[:, 1]]
     per_direction = {}
-    for direction in DIRECTIONS:
-        ranks = [row.rank for row in rankings if row.direction == direction]
-        if not ranks:
+    for direction, rows in ((TAIL_DIRECTION, ~inverse), (HEAD_DIRECTION, inverse)):
+        if not rows.any():
             raise KgcError(f"split {split!r} has no {direction}-direction triples")
-        per_direction[direction] = _metrics(ranks)
+        per_direction[direction] = _metrics(ranks[rows])
     overall = {
         key: float(np.mean([per_direction[d][key] for d in DIRECTIONS]))
         for key in per_direction[TAIL_DIRECTION]
     }
     return RankingResult(
-        rankings=rankings,
+        graph=g,
+        triples=triples,
+        ranks=ranks,
         per_direction=per_direction,
         overall=overall,
-        by_category=breakdown_by_category(rankings),
+        by_category=breakdown_by_category(g.categories[triples[:, 1]], ranks),
         forward_passes=idx.forward_passes + len(triples),
         reranked=rerank is not None and rerank.alpha != 0.0,
     )
@@ -322,6 +326,9 @@ def predict_topk(
     """
     if k < 1:
         raise KgcError(f"k must be >= 1, got {k}")
+    # numbered once, before any encoding; scalars, not one-element arrays,
+    # so the key arithmetic in ``known`` makes no extra array
+    head_number, relation_number = g.entity_numbers([head])[0], g.relation_numbers([relation])[0]
     query = query_vector(g, params, [(head, relation)])
     if len(idx.entity_ids) != len(g.entities):
         raise KgcError("the index must hold every entity of the graph")
@@ -333,8 +340,7 @@ def predict_topk(
     # row order; rows are in id order, so a stable sort breaks ties by id
     shortlist = np.flatnonzero(scores >= np.partition(scores, scores.size - k)[scores.size - k])
     order = shortlist[np.argsort(-scores[shortlist], kind="stable")[:k]]
-    # scalars, not one-element arrays: their arithmetic costs no numpy array operations
-    known = g.known(g.entity_numbers([head])[0], g.relation_numbers([relation])[0], order)
+    known = g.known(head_number, relation_number, order)
     return [(idx.entity_ids[i], float(scores[i]), flag) for i, flag in zip(order.tolist(), known.tolist())]
 
 

@@ -3,11 +3,11 @@
 A graph is built from three triple files (``head<TAB>relation<TAB>tail``,
 one triple per line) and two description files (``id<TAB>name<TAB>description``,
 the description column may be empty).  All ids referenced by triples must be
-declared in the description files.  The graph numbers its entities in
-sorted-id order; construction builds, over those numbers, one sorted array
-of undirected train edge keys and one of known-triple keys over
-train+valid+test, which filtered evaluation and false-negative masking
-query.
+declared in the description files.  The graph numbers its entities and
+relations in sorted-id order and holds each split as one (n, 3) int64 array
+of (head, relation, tail) numbers, which training, false-negative masking
+and filtered ranking read; id strings appear only at the edges (file
+loading, ``triples``, predictions and the load report).
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from .files import read_lines
 
 SPLITS = ("train", "valid", "test")
 RELATION_CATEGORIES = ("1-1", "1-n", "n-1", "n-n")
+UNKNOWN_CATEGORY = "unknown"  # a relation with no train triples to classify
+CATEGORIES = RELATION_CATEGORIES + (UNKNOWN_CATEGORY,)  # what ``KnowledgeGraph.categories`` indexes
 
 # Relation cardinality boundary: mean tails-per-head (or heads-per-tail)
 # at or above this counts as "n".
@@ -59,65 +61,90 @@ class Triple(NamedTuple):
 class KnowledgeGraph:
     """Immutable container for entities, relations, and split triples.
 
-    Indexes built at construction:
+    Arrays built at construction, over the E entity and R relation numbers:
 
+    * each split's (head, relation, tail) rows, each triple once, first
+      occurrences in input order (``split_array``)
     * the undirected train adjacency (for k-hop walks and text
       augmentation), built as one sorted int64 array of edge keys
       ``h * E + t`` in both directions and kept as each h's run of t
     * the known triples of all splits, as one sorted int64 array of keys
-      ``(h * R + r) * E + t``, where h and t number the entities and r the
-      relations in sorted-id order and E and R count them; ``known``,
-      ``known_tails`` and ``is_known_triple`` answer from it
-
-    Relation categories are computed on first use and kept.
+      ``(h * R + r) * E + t``; ``known`` and ``known_tails`` answer from it
+    * ``is_inverse``, a bool per relation, and ``categories``, each
+      relation's index into ``CATEGORIES`` (see ``classify_relation``)
     """
 
     def __init__(
         self,
         entities: Iterable[Entity],
         relations: Iterable[Relation],
-        splits: dict[str, Sequence[Triple]],
-        inverse_augmented: bool = False,
-        load_report: Optional[dict] = None,
+        splits: dict[str, Sequence[Sequence[str]]],
     ):
-        self._entities = {e.id: e for e in entities}
-        self._relations = {r.id: r for r in relations}
-        self.inverse_augmented = inverse_augmented
-        given = {split: [Triple(*trip) for trip in splits.get(split, ())] for split in SPLITS}
-        every = [trip for split in SPLITS for trip in given[split]]
-        unknown = sorted(
-            (({h for h, _, _ in every} | {t for _, _, t in every}) - self._entities.keys())
-            | ({r for _, r, _ in every} - self._relations.keys())
-        )
-        if unknown:
+        self._declare(entities, relations, augmented=False)
+        try:
+            numbered = [self.triple_numbers(splits.get(split, ())) for split in SPLITS]
+        except UnknownIdError:
+            every = [trip for split in SPLITS for trip in splits.get(split, ())]
+            unknown = sorted(
+                (({h for h, _, _ in every} | {t for _, _, t in every}) - self._entities.keys())
+                | ({r for _, r, _ in every} - self._relations.keys())
+            )
             shown = ", ".join(unknown[:20])
             more = f" (+{len(unknown) - 20} more)" if len(unknown) > 20 else ""
-            raise UnknownIdError(f"triples reference undeclared ids: {shown}{more}")
+            raise UnknownIdError(f"triples reference undeclared ids: {shown}{more}") from None
+        self._build(numbered, load_report=None)
 
+    def _declare(self, entities: Iterable[Entity], relations: Iterable[Relation], augmented: bool) -> None:
+        self._entities = {e.id: e for e in entities}
+        self._relations = {r.id: r for r in relations}
+        self.inverse_augmented = augmented
         self.entity_ids = tuple(sorted(self._entities))
-        self._entity_number = ent = {e: i for i, e in enumerate(self.entity_ids)}
-        self._relation_number = rel = {r: i for i, r in enumerate(sorted(self._relations))}
-        E, R = len(ent), len(rel)
+        self.relation_ids = tuple(sorted(self._relations))
+        self._entity_number = {e: i for i, e in enumerate(self.entity_ids)}
+        self._relation_number = {r: i for i, r in enumerate(self.relation_ids)}
+
+    def _build(self, numbered: Sequence[np.ndarray], load_report: Optional[dict]) -> None:
+        """Every array of the graph, from one (n, 3) number array per split."""
+        E, R = len(self.entity_ids), len(self.relation_ids)
         report = dict(load_report) if load_report else {}
         removed = report.get("duplicates_removed", 0)
-        self._splits: dict[str, tuple[Triple, ...]] = {}
+        self._splits: dict[str, np.ndarray] = {}
         split_keys = []
-        for split in SPLITS:
-            triples = given[split]
-            keys = np.array([(ent[h] * R + rel[r]) * E + ent[t] for h, r, t in triples], dtype=np.int64)
+        for split, rows in zip(SPLITS, numbered):
+            keys = (rows[:, 0] * R + rows[:, 1]) * E + rows[:, 2]
             first = np.sort(np.unique(keys, return_index=True)[1])  # first occurrences, in input order
-            self._splits[split] = tuple(triples[i] for i in first.tolist())
-            removed += len(triples) - first.size
+            self._splits[split] = rows[first]
+            self._splits[split].setflags(write=False)  # split_array hands it out
+            removed += len(rows) - first.size
             split_keys.append(keys[first])
         # a split holds each triple once, so a key counted more than once is
         # a triple that sits in more than one split
         self._triple_keys, seen_in = np.unique(np.concatenate(split_keys), return_counts=True)
 
-        heads, tails = split_keys[0] // (R * E), split_keys[0] % E
+        heads, relations, tails = self._splits["train"].T
         edges = np.unique(np.concatenate([heads * E + tails, tails * E + heads]))
         self._adjacency_starts = edges.searchsorted(np.arange(E + 1) * E)
         self._adjacency = edges % E  # kept as numbers: a per-call subtraction costs more than the slice
         self._adjacency.setflags(write=False)  # neighbor_numbers hands out views
+
+        # each relation classified by its own train triples: "n" on a side
+        # when the triples per distinct entity of the other side reach the
+        # threshold, and 2 * head + tail indexes RELATION_CATEGORIES
+        count = np.bincount(relations, minlength=R)
+        distinct_heads = np.bincount(np.unique(relations * E + heads) // E, minlength=R)
+        distinct_tails = np.bincount(np.unique(relations * E + tails) // E, minlength=R)
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 where a relation has no triple
+            head_n = count / distinct_tails >= CARDINALITY_THRESHOLD
+            tail_n = count / distinct_heads >= CARDINALITY_THRESHOLD
+        unknown = CATEGORIES.index(UNKNOWN_CATEGORY)
+        own = np.append(np.where(count > 0, 2 * head_n + tail_n, unknown), unknown)
+        # an inverse relation takes its forward relation's category; one
+        # whose forward relation is not declared reads the unknown at -1
+        declared = [self._relations[r] for r in self.relation_ids]
+        self.is_inverse = np.array([rel.is_inverse for rel in declared], dtype=bool)
+        number = self._relation_number
+        forward = [number.get(rel.forward_id, -1) if rel.is_inverse else n for n, rel in enumerate(declared)]
+        self.categories = own[np.array(forward, dtype=np.int64)]
 
         report.update(
             splits={split: len(self._splits[split]) for split in SPLITS},
@@ -126,7 +153,6 @@ class KnowledgeGraph:
             unknown_ids=0,
         )
         self.load_report = report
-        self._categories: dict[str, Optional[str]] = {}
 
     # -- accessors ---------------------------------------------------------
 
@@ -150,10 +176,16 @@ class KnowledgeGraph:
         except KeyError:
             raise UnknownIdError(f"unknown relation id: {relation_id!r}") from None
 
-    def triples(self, split: str) -> tuple[Triple, ...]:
+    def split_array(self, split: str) -> np.ndarray:
+        """The split's (n, 3) read-only array of (head, relation, tail) numbers."""
         if split not in SPLITS:
             raise KgcError(f"unknown split: {split!r}")
         return self._splits[split]
+
+    def triples(self, split: str) -> tuple[Triple, ...]:
+        """The split's triples as ids, in ``split_array`` order; built on each call."""
+        ids, relation_ids = self.entity_ids, self.relation_ids
+        return tuple(Triple(ids[h], relation_ids[r], ids[t]) for h, r, t in self.split_array(split).tolist())
 
     def neighbor_numbers(self, entity_id: str) -> np.ndarray:
         """The ``entity_numbers`` of the entity's undirected train-graph
@@ -172,6 +204,14 @@ class KnowledgeGraph:
         """Each relation's position in sorted-id order; an undeclared id raises
         ``UnknownIdError``, as in ``relation``."""
         return _numbers(self._relation_number, ids, "relation")
+
+    def triple_numbers(self, triples: Sequence[Sequence[str]]) -> np.ndarray:
+        """(n, 3) int64 (head, relation, tail) numbers of id triples; an
+        undeclared id raises ``UnknownIdError``, as in ``entity``."""
+        heads, relations, tails = zip(*triples) if len(triples) else ((), (), ())
+        return np.stack(
+            [self.entity_numbers(heads), self.relation_numbers(relations), self.entity_numbers(tails)], axis=1
+        )
 
     def known(self, heads: np.ndarray, relations: np.ndarray, tails: np.ndarray) -> np.ndarray:
         """Whether each (head, relation, tail), given as ``entity_numbers`` and
@@ -211,16 +251,6 @@ class KnowledgeGraph:
             raise KgcError(f"graph has no inverse for relation {relation_id!r}; augment it first")
         return inverse_id
 
-    def relation_category(self, relation_id: str) -> Optional[str]:
-        """``classify_relation`` of the relation, or None when it cannot be
-        classified; each relation is classified once per graph."""
-        if relation_id not in self._categories:
-            try:
-                self._categories[relation_id] = classify_relation(self, relation_id)
-            except KgcError:
-                self._categories[relation_id] = None
-        return self._categories[relation_id]
-
 
 def _numbers(number: dict[str, int], ids: Sequence[str], kind: str) -> np.ndarray:
     try:
@@ -252,8 +282,8 @@ def _read_descriptions(path: str, kind: str) -> dict[str, tuple[str, str]]:
     return rows
 
 
-def _read_triples(path: str) -> list[Triple]:
-    triples: list[Triple] = []
+def _read_triples(path: str) -> list[list[str]]:
+    triples: list[list[str]] = []
     for lineno, line in read_lines(path):
         if not line:
             continue
@@ -262,7 +292,7 @@ def _read_triples(path: str) -> list[Triple]:
             raise ParseError(path, lineno, f"expected 3 tab-separated fields, got {len(parts)}")
         if not all(parts):
             raise ParseError(path, lineno, "empty field in triple")
-        triples.append(Triple(*parts))
+        triples.append(parts)
     return triples
 
 
@@ -319,18 +349,21 @@ def add_inverse_triples(g: KnowledgeGraph) -> KnowledgeGraph:
                 forward_id=rel.id,
             )
         )
-    splits: dict[str, list[Triple]] = {}
+    aug = KnowledgeGraph.__new__(KnowledgeGraph)
+    aug._declare(g.entities.values(), relations, augmented=True)
+    # the entity numbering is the same; the relation numbering is the sorted
+    # order of the augmented relation ids
+    forward = aug.relation_numbers(g.relation_ids)
+    inverse = aug.relation_numbers([INVERSE_ID_PREFIX + r for r in g.relation_ids])
+    mirrored = []
     for split in SPLITS:
-        originals = g.triples(split)
-        inverses = [Triple(t, INVERSE_ID_PREFIX + r, h) for h, r, t in originals]
-        splits[split] = list(originals) + inverses
-    return KnowledgeGraph(
-        g.entities.values(),
-        relations,
-        splits,
-        inverse_augmented=True,
-        load_report=g.load_report,
-    )
+        heads, numbers, tails = g.split_array(split).T
+        mirrored.append(np.concatenate([
+            np.stack([heads, forward[numbers], tails], axis=1),
+            np.stack([tails, inverse[numbers], heads], axis=1),
+        ]))
+    aug._build(mirrored, g.load_report)
+    return aug
 
 
 def k_hop_neighbors(g: KnowledgeGraph, entity_id: str, k: int) -> np.ndarray:
@@ -354,29 +387,15 @@ def k_hop_neighbors(g: KnowledgeGraph, entity_id: str, k: int) -> np.ndarray:
 def classify_relation(g: KnowledgeGraph, relation_id: str) -> str:
     """Cardinality category of a relation: one of '1-1', '1-n', 'n-1', 'n-n'.
 
-    Computed over forward train triples only; an inverse relation is
-    classified by its forward counterpart.  Means at or above
-    ``CARDINALITY_THRESHOLD`` count as "n" on that side.
+    Read from ``g.categories``, which the graph classifies once, over forward
+    train triples only: an inverse relation is classified by its forward
+    counterpart.  Means at or above ``CARDINALITY_THRESHOLD`` count as "n"
+    on that side.  A relation with no train triples raises ``KgcError``.
     """
-    rel = g.relation(relation_id)
-    if rel.is_inverse:
-        assert rel.forward_id is not None
-        rel = g.relation(rel.forward_id)
-    heads: set[str] = set()
-    tails: set[str] = set()
-    count = 0
-    for h, r, t in g.triples("train"):
-        if r == rel.id:
-            heads.add(h)
-            tails.add(t)
-            count += 1
-    if count == 0:
-        raise KgcError(f"relation {rel.id!r} has no train triples to classify")
-    tails_per_head = count / len(heads)
-    heads_per_tail = count / len(tails)
-    head_side = "n" if heads_per_tail >= CARDINALITY_THRESHOLD else "1"
-    tail_side = "n" if tails_per_head >= CARDINALITY_THRESHOLD else "1"
-    return f"{head_side}-{tail_side}"
+    category = CATEGORIES[g.categories[g.relation_numbers([relation_id])[0]]]
+    if category == UNKNOWN_CATEGORY:
+        raise KgcError(f"relation {relation_id!r} has no train triples to classify")
+    return category
 
 
 def augment_description(g: KnowledgeGraph, entity_id: str, exclude: Optional[str] = None) -> str:
@@ -396,12 +415,3 @@ def augment_description(g: KnowledgeGraph, entity_id: str, exclude: Optional[str
     names = [g.entities[n].name for n in neighbors if n != entity_id and n != exclude]
     return " ".join([base, *names])
 
-
-def is_known_triple(g: KnowledgeGraph, triple: Triple) -> bool:
-    """True when the triple appears in any of the three splits; a triple with
-    an undeclared id appears in none."""
-    h, r, t = triple
-    if not (h in g.entities and t in g.entities and r in g.relations):
-        return False
-    head, tail = g.entity_numbers([h, t])
-    return bool(g.known(head, g.relation_numbers([r])[0], tail))

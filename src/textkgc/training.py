@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import contrastive as ct
 from . import encoder as enc
 from .errors import KgcError, NumericError
-from .graph import KnowledgeGraph, Triple, augment_description
+from .graph import KnowledgeGraph, augment_description
 from .randomness import named_stream
 
 LOSS_KINDS = ("infonce", "margin", "margin_tau")
@@ -245,11 +245,14 @@ def build_token_cache(g: KnowledgeGraph, params: enc.EncoderParams) -> TrainToke
     is ever built; each matrix takes every third row.
     """
 
+    ids = g.entity_ids
+    relation_texts = [g.relations[r].description for r in g.relation_ids]
+
     def rows():
-        for h, r, t in g.triples("train"):
-            head = augment_description(g, h, exclude=t)
-            yield head, g.relation(r).description
-            yield (augment_description(g, t, exclude=h),)
+        for h, r, t in g.split_array("train").tolist():
+            head = augment_description(g, ids[h], exclude=ids[t])
+            yield head, relation_texts[r]
+            yield (augment_description(g, ids[t], exclude=ids[h]),)
             yield (head,)
 
     tokens = enc.token_ids(rows(), params.buckets, params.max_tokens)
@@ -259,7 +262,7 @@ def build_token_cache(g: KnowledgeGraph, params: enc.EncoderParams) -> TrainToke
 def run_batch(
     g: KnowledgeGraph,
     params: enc.EncoderParams,
-    rows: Sequence[Triple],
+    rows: np.ndarray,
     tokens: TrainTokens,
     queue: ct.PreBatchQueue,
     cfg: TrainConfig,
@@ -268,7 +271,8 @@ def run_batch(
 ) -> tuple[float, enc.GradientBuffer, ct.CandidateMatrix, ct.TrainingBatch]:
     """Forward and backward pass for one batch; no parameter update.
 
-    ``tokens`` holds the batch's rows only.  Queries are encoded in one pass
+    ``rows`` holds the batch's (head, relation, tail) numbers and
+    ``tokens`` the batch's token rows only.  Queries are encoded in one pass
     on the query table; tails, then heads as self-negatives, in one pass on
     the candidate table, so dropout draws come in that order.  Returns the
     loss, the gradient buffer, the candidate matrix, and the encoded batch
@@ -281,7 +285,7 @@ def run_batch(
     cand_enc = enc.forward_tail(params, candidates, cfg.dropout, dropout_rng)
 
     batch = ct.TrainingBatch(
-        rows=list(rows),
+        rows=rows,
         hr_embs=hr_enc.output,
         tail_embs=cand_enc.output[:B],
         self_embs=cand_enc.output[B:] if use_sn else None,
@@ -340,7 +344,7 @@ def train(
     """
     if not g.inverse_augmented:
         raise KgcError("training requires an inverse-augmented graph")
-    triples = g.triples("train")
+    triples = g.split_array("train")
     n = len(triples)
     if n < 2:
         raise KgcError(f"need at least 2 training triples, got {n}")
@@ -366,7 +370,7 @@ def train(
             chunk = order[start : start + cfg.batch_size]
             if chunk.size < 2:
                 continue
-            rows = [triples[i] for i in chunk]
+            rows = triples[chunk]
             lr = lr_at(global_step, cfg, total_steps)
             tau_now = enc.temperature(params.log_inv_tau)
             with np.errstate(over="ignore", invalid="ignore"):  # loss checked below
@@ -379,7 +383,7 @@ def train(
             clip_gradients(buffer, cfg.grad_clip)
             apply_update(params, state, buffer, lr, cfg)
             if use_pb:
-                queue.push(batch.tail_embs, [row.tail for row in rows])
+                queue.push(batch.tail_embs, rows[:, 2])
             log_lines.append(
                 f"step={global_step} loss={loss!r} lr={lr!r} tau={tau_now!r} fwd={encoded}"
             )

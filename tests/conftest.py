@@ -1,6 +1,7 @@
 """Shared builders for graph, dataset-file, and candidate-matrix fixtures."""
 
 import math
+from collections import Counter
 from itertools import chain
 
 import numpy as np
@@ -12,7 +13,18 @@ from textkgc.contrastive import IN_BATCH, CandidateMatrix
 from textkgc.encoder import EncoderParams, TokenIds, separator_index
 from textkgc.errors import NumericError
 from textkgc.evaluation import rerank_scores
-from textkgc.graph import Entity, KnowledgeGraph, Relation, Triple, add_inverse_triples, k_hop_neighbors
+from textkgc.graph import (
+    CARDINALITY_THRESHOLD,
+    INVERSE_ID_PREFIX,
+    SPLITS,
+    UNKNOWN_CATEGORY,
+    Entity,
+    KnowledgeGraph,
+    Relation,
+    Triple,
+    add_inverse_triples,
+    k_hop_neighbors,
+)
 from textkgc.randomness import named_stream
 
 
@@ -35,6 +47,54 @@ def make_graph(train, valid=(), test=(), descriptions=None, names=None, augment=
     }
     g = KnowledgeGraph(entities, relations, splits)
     return add_inverse_triples(g) if augment else g
+
+
+def reference_splits(splits, augment):
+    """Reference ``KnowledgeGraph`` split construction on id strings.
+
+    Each split keeps the first of equal ``Triple``s, in input order; with
+    ``augment``, each split is then followed by its mirror ``(t, r', h)``.
+    Returns the splits and the counts of the load report.
+    """
+    out, removed = {}, 0
+    for split in SPLITS:
+        given = [Triple(*trip) for trip in splits.get(split, ())]
+        out[split] = list(dict.fromkeys(given))
+        removed += len(given) - len(out[split])
+    if augment:
+        for split, rows in out.items():
+            rows += [Triple(t, INVERSE_ID_PREFIX + r, h) for h, r, t in rows]
+    in_splits = Counter(trip for rows in out.values() for trip in rows)
+    report = {
+        "splits": {split: len(rows) for split, rows in out.items()},
+        "duplicates_removed": removed,
+        "cross_split_duplicates": sum(1 for count in in_splits.values() if count > 1),
+        "unknown_ids": 0,
+    }
+    return out, report
+
+
+def reference_category(g, relation_id):
+    """Reference relation category: one loop over the train triples.
+
+    Only the triples of the forward relation count; an inverse relation
+    takes its forward relation's category, and a relation with no train
+    triples is ``UNKNOWN_CATEGORY``.
+    """
+    rel = g.relation(relation_id)
+    if rel.is_inverse:
+        rel = g.relation(rel.forward_id)
+    heads, tails, count = set(), set(), 0
+    for h, r, t in g.triples("train"):
+        if r == rel.id:
+            heads.add(h)
+            tails.add(t)
+            count += 1
+    if count == 0:
+        return UNKNOWN_CATEGORY
+    head_side = "n" if count / len(tails) >= CARDINALITY_THRESHOLD else "1"
+    tail_side = "n" if count / len(heads) >= CARDINALITY_THRESHOLD else "1"
+    return f"{head_side}-{tail_side}"
 
 
 def write_dataset(dirpath, train, valid, test, entities, relations):

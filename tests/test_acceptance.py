@@ -134,7 +134,7 @@ def _instance(k):
         rng.uniform(-0.5, 0.5, size=(48, dim)),
         float(rng.uniform(2.0, 3.5)),
     )
-    rows = list(g.triples("train"))
+    rows = g.split_array("train")
     tokens = build_token_cache(g, params)
 
     queue = PreBatchQueue(P * B)
@@ -142,7 +142,7 @@ def _instance(k):
         extra = rng.standard_normal((P * B, dim))
         extra /= np.linalg.norm(extra, axis=1, keepdims=True)
         qids = [str(rng.choice(queued)) for _ in range(P * B)]
-        queue.push(extra, qids)
+        queue.push(extra, g.entity_numbers(qids))
     return g, cfg, params, rows, tokens, queue
 
 
@@ -315,9 +315,9 @@ def test_criterion_02_negative_count_law():
             if P:
                 extra = rng.standard_normal((P * B, dim))
                 extra /= np.linalg.norm(extra, axis=1, keepdims=True)
-                queue.push(extra, [f"q{j}" for j in range(P * B)])
+                queue.push(extra, g.entity_numbers([f"q{j}" for j in range(P * B)]))
             batch = TrainingBatch(
-                rows=[Triple(*r) for r in rows],
+                rows=g.triple_numbers(rows),
                 hr_embs=hr,
                 tail_embs=tails,
                 self_embs=selfs,

@@ -19,31 +19,15 @@ from textkgc.contrastive import (
     limit_negatives,
     margin_loss,
     margin_tau_loss,
-    score_matrix,
 )
 from textkgc.encoder import TAU_FLOOR
 from textkgc.errors import KgcError
-from textkgc.graph import Triple
-
 from conftest import make_graph, plain_matrix
 
 
 def unit(vec):
     vec = np.asarray(vec, dtype=float)
     return vec / np.linalg.norm(vec)
-
-
-# -- scoring -----------------------------------------------------------------
-
-
-def test_score_matrix_cosine_extremes():
-    e = np.eye(3)
-    q = e[:1]
-    cands = np.stack([e[0], e[1], -e[0]])
-    scores = score_matrix(q, cands)
-    assert scores.tolist() == [[1.0, 0.0, -1.0]]
-    with pytest.raises(KgcError):
-        score_matrix(np.ones((2, 3)), np.ones((2, 4)))
 
 
 # -- pre-batch queue ---------------------------------------------------------
@@ -53,24 +37,27 @@ def test_queue_fifo_eviction():
     q = PreBatchQueue(8)
     for batch in range(3):
         embs = np.full((4, 2), float(batch))
-        q.push(embs, [f"b{batch}e{i}" for i in range(4)])
+        q.push(embs, np.arange(4) + 10 * batch)
     assert len(q) == 8
-    assert q.entity_ids[:4] == ["b1e0", "b1e1", "b1e2", "b1e3"]
+    assert q.entity_numbers.dtype == np.int64
+    assert q.entity_numbers.tolist() == [10, 11, 12, 13, 20, 21, 22, 23]
     assert np.array_equal(q.embeddings()[:4], np.full((4, 2), 1.0))
 
 
 def test_queue_entries_are_frozen_copies():
     q = PreBatchQueue(4)
-    embs = np.ones((2, 3))
-    q.push(embs, ["a", "b"])
+    embs, numbers = np.ones((2, 3)), np.array([0, 1])
+    q.push(embs, numbers)
     embs[:] = 99.0
+    numbers[:] = 7
     assert np.array_equal(q.embeddings(), np.ones((2, 3)))
+    assert q.entity_numbers.tolist() == [0, 1]
 
 
 def test_queue_edge_cases():
-    assert len(PreBatchQueue(0).push(np.ones((2, 2)), ["a", "b"])) == 0
-    empty = PreBatchQueue(0).push(np.ones((2, 2)), ["a", "b"]).push(np.ones((1, 2)), ["c"])
-    assert len(empty) == 0 and empty.entity_ids == []
+    assert len(PreBatchQueue(0).push(np.ones((2, 2)), [0, 1])) == 0
+    empty = PreBatchQueue(0).push(np.ones((2, 2)), [0, 1]).push(np.ones((1, 2)), [2])
+    assert len(empty) == 0 and empty.entity_numbers.tolist() == []
     with pytest.raises(KgcError):
         empty.embeddings()
     with pytest.raises(KgcError):
@@ -78,18 +65,20 @@ def test_queue_edge_cases():
     with pytest.raises(KgcError):
         PreBatchQueue(-1)
     with pytest.raises(KgcError):
-        PreBatchQueue(4).push(np.ones((2, 2)), ["a"])
+        PreBatchQueue(4).push(np.ones((2, 2)), [0])
 
 
 def test_queue_push_larger_than_capacity_keeps_the_newest_rows():
-    q = PreBatchQueue(3).push(np.arange(10.0).reshape(5, 2), list("abcde"))
-    assert q.entity_ids == ["c", "d", "e"]
+    q = PreBatchQueue(3).push(np.arange(10.0).reshape(5, 2), np.arange(5))
+    assert q.entity_numbers.tolist() == [2, 3, 4]
     assert np.array_equal(q.embeddings(), np.arange(4.0, 10.0).reshape(3, 2))
-    q.push(np.full((2, 2), -1.0), ["f", "g"])
-    assert q.entity_ids == ["e", "f", "g"]
+    q.push(np.full((2, 2), -1.0), np.array([5, 6]))
+    assert q.entity_numbers.tolist() == [4, 5, 6]
     assert q.embeddings().tolist() == [[8.0, 9.0], [-1.0, -1.0], [-1.0, -1.0]]
     with pytest.raises(ValueError):
         q.embeddings()[0, 0] = 0.0  # read-only: callers cannot edit the queue
+    with pytest.raises(ValueError):
+        q.entity_numbers[0] = 0
 
 
 # -- candidate assembly ------------------------------------------------------
@@ -99,20 +88,32 @@ def _batch_for(g, rows, dim=4, seed=0):
     rng = np.random.default_rng(seed)
     B = len(rows)
     return TrainingBatch(
-        rows=[Triple(*r) for r in rows],
+        rows=g.triple_numbers(rows),
         hr_embs=np.stack([unit(rng.normal(size=dim)) for _ in range(B)]),
         tail_embs=np.stack([unit(rng.normal(size=dim)) for _ in range(B)]),
         self_embs=np.stack([unit(rng.normal(size=dim)) for _ in range(B)]),
     )
 
 
+def test_assemble_scores_cosine_extremes():
+    # unit vectors scored against themselves, an orthogonal and an opposite one
+    g = make_graph(train=[("a", "r", "b")], entities=["c", "d"])
+    e = np.eye(3)
+    batch = TrainingBatch(g.triple_numbers([("a", "r", "b")]), e[:1], e[:1], -e[:1])
+    queue = PreBatchQueue(2).push(np.stack([e[1], -e[0]]), g.entity_numbers(["c", "d"]))
+    m = assemble_candidates(g, batch, queue, use_self_negatives=True)
+    assert m.scores.tolist() == [[1.0, 0.0, -1.0, -1.0]]
+    assert m.mask.all()
+    with pytest.raises(ValueError):  # queue rows of another dimension
+        assemble_candidates(g, batch, PreBatchQueue(1).push(np.ones((1, 4)), [2]), False)
+
+
 def test_assemble_layout_and_diagonal():
-    g = make_graph(train=[("a", "r", "b"), ("c", "r", "d")])
+    g = make_graph(train=[("a", "r", "b"), ("c", "r", "d"),
+                          ("x1", "r", "x2"), ("x2", "r", "x3")])
     batch = _batch_for(g, [("a", "r", "b"), ("c", "r", "d")])
-    queue = PreBatchQueue(4).push(np.eye(4)[:3], ["x1", "x2", "x3"])
-    g2 = make_graph(train=[("a", "r", "b"), ("c", "r", "d"),
-                           ("x1", "r", "x2"), ("x2", "r", "x3")])
-    m = assemble_candidates(g2, batch, queue, use_self_negatives=True)
+    queue = PreBatchQueue(4).push(np.eye(4)[:3], g.entity_numbers(["x1", "x2", "x3"]))
+    m = assemble_candidates(g, batch, queue, use_self_negatives=True)
     B, C = m.size
     assert (B, C) == (2, 2 + 3 + 1)
     assert list(m.provenance) == [IN_BATCH] * 2 + [PRE_BATCH] * 3 + [SELF_NEGATIVE]
@@ -144,7 +145,7 @@ def test_assemble_masks_known_true_candidates():
 def test_assemble_masks_queue_entries():
     g = make_graph(train=[("a", "r", "b"), ("a", "r", "q2"), ("q1", "r", "q2")])
     batch = _batch_for(g, [("a", "r", "b")])
-    queue = PreBatchQueue(4).push(np.eye(4)[:2], ["q1", "q2"])
+    queue = PreBatchQueue(4).push(np.eye(4)[:2], g.entity_numbers(["q1", "q2"]))
     m = assemble_candidates(g, batch, queue, use_self_negatives=False)
     assert m.mask[0, 1]  # q1 is a fair negative
     assert not m.mask[0, 2]  # (a, r, q2) is known
@@ -172,17 +173,16 @@ def test_negative_count_law_small():
             queue = PreBatchQueue(P * B)
             for k in range(P):
                 ids = [f"q{k}_{i}" for i in range(B)]
-                queue.push(np.tile(np.eye(4)[0], (B, 1)), ids)
+                queue.push(np.tile(np.eye(4)[0], (B, 1)), g.entity_numbers(ids))
             m = assemble_candidates(g, batch, queue, use_self_negatives=True)
             assert m.negatives_per_row().tolist() == [(P + 1) * B] * B
 
 
 def test_disable_in_batch_negatives_keeps_diagonal():
-    g = make_graph(train=[("a", "r", "b"), ("c", "r", "d")])
+    g = make_graph(train=[("a", "r", "b"), ("c", "r", "d"), ("z", "r", "a")])
     batch = _batch_for(g, [("a", "r", "b"), ("c", "r", "d")])
-    queue = PreBatchQueue(2).push(np.eye(4)[:1], ["z"])
-    g2 = make_graph(train=[("a", "r", "b"), ("c", "r", "d"), ("z", "r", "a")])
-    m = assemble_candidates(g2, batch, queue, use_self_negatives=True)
+    queue = PreBatchQueue(2).push(np.eye(4)[:1], g.entity_numbers(["z"]))
+    m = assemble_candidates(g, batch, queue, use_self_negatives=True)
     disable_in_batch_negatives(m)
     assert m.mask[0, 0] and m.mask[1, 1]
     assert not m.mask[0, 1] and not m.mask[1, 0]

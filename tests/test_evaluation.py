@@ -409,6 +409,8 @@ def test_evaluate_split_selection_and_errors():
 
 
 def test_evaluate_classifies_each_relation_once(monkeypatch):
+    # the graph classifies every relation when it is built; evaluation
+    # reads its category array and classifies nothing again
     def graph():
         rows = [(f"h{i}", f"r{i % 3}", f"t{i % 4}") for i in range(12)]
         test_rows = [("h0", "r0", "t1"), ("h2", "r2", "t3"), ("h4", "r1", "t0"), ("h3", "r0", "t2")]
@@ -419,7 +421,6 @@ def test_evaluate_classifies_each_relation_once(monkeypatch):
     idx = build_index(g, params)
     expected = evaluate(g, idx, params).report()
 
-    g = graph()
     calls = []
     original = kg.classify_relation
 
@@ -428,11 +429,10 @@ def test_evaluate_classifies_each_relation_once(monkeypatch):
         return original(graph, relation_id, *args)
 
     monkeypatch.setattr(kg, "classify_relation", counted)
+    g = graph()
     first = evaluate(g, idx, params)
-    distinct = {t.relation for t in g.triples("test")}
-    assert sorted(calls) == sorted(distinct)  # once each, unknown "x" included
     second = evaluate(g, idx, params)
-    assert len(calls) == len(distinct)  # a second evaluation reuses them
+    assert calls == []
     assert first.report() == second.report() == expected
     assert first.by_category["unknown"]["count"] == 2
 

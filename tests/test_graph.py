@@ -15,7 +15,6 @@ from textkgc.graph import (
     add_inverse_triples,
     augment_description,
     classify_relation,
-    is_known_triple,
     k_hop_neighbors,
     load_graph,
 )
@@ -40,6 +39,9 @@ def test_load_graph_dedups_exact_duplicates(tmp_path):
     paths = _write(tmp_path, train=[("a", "r", "b"), ("a", "r", "b")])
     g = load_graph(*paths)
     assert g.triples("train") == (Triple("a", "r", "b"),)
+    assert g.split_array("train").tolist() == [[0, 0, 1]]  # numbers in sorted-id order
+    with pytest.raises(ValueError, match="read-only"):
+        g.split_array("train")[0, 0] = 1
     assert g.load_report["duplicates_removed"] == 1
     assert g.load_report["splits"]["train"] == 1
 
@@ -368,15 +370,24 @@ def test_threshold_counts_whitespace_tokens():
 # -- filter index ------------------------------------------------------------
 
 
-def test_is_known_triple_membership():
+def _known(g, triple):
+    """``known`` of one id triple."""
+    return bool(g.known(*g.triple_numbers([triple])[0]))
+
+
+def test_known_membership():
     aug = make_graph(train=[("a", "r", "b")], test=[("a", "r", "c")], augment=True)
-    assert is_known_triple(aug, Triple("a", "r", "b"))
-    assert is_known_triple(aug, Triple("a", "r", "c"))
-    assert is_known_triple(aug, Triple("b", INVERSE_ID_PREFIX + "r", "a"))
-    assert not is_known_triple(aug, Triple("b", "r", "a"))
+    assert _known(aug, Triple("a", "r", "b"))
+    assert _known(aug, Triple("a", "r", "c"))
+    assert _known(aug, Triple("b", INVERSE_ID_PREFIX + "r", "a"))
+    assert not _known(aug, Triple("b", "r", "a"))
+    with pytest.raises(UnknownIdError, match="unknown entity id: 'zz'"):
+        aug.triple_numbers([("a", "r", "zz")])  # an undeclared id is numbered nowhere
+    with pytest.raises(UnknownIdError, match="unknown relation id: 'q'"):
+        aug.triple_numbers([("a", "q", "b")])
 
 
-def test_is_known_triple_no_false_positives(rng):
+def test_known_no_false_positives(rng):
     triples = [(f"e{i}", f"r{i % 3}", f"e{(i * 7) % 20}") for i in range(0, 20, 2)]
     g = make_graph(train=triples)
     truth = set(g.triples("train"))
@@ -388,7 +399,7 @@ def test_is_known_triple_no_false_positives(rng):
             rels[rng.integers(0, len(rels))],
             ents[rng.integers(0, len(ents))],
         )
-        assert is_known_triple(g, probe) == (probe in truth)
+        assert _known(g, probe) == (probe in truth)
 
 
 def _tails_of(g, head, relation):
@@ -427,7 +438,7 @@ def test_known_answers_whole_arrays():
     heads, relations = g.entity_numbers(["b", "c", "a", "a"]), g.relation_numbers(["r", "s", "s", "r"])
     rows, tails = g.known_tails(heads, relations)
     assert rows.tolist() == [1, 3, 3] and tails.tolist() == [0, 1, 2]
-    assert is_known_triple(g, ("c", "s", "a")) and not is_known_triple(g, ("a", "s", "c"))
+    assert _known(g, ("c", "s", "a")) and not _known(g, ("a", "s", "c"))
     empty = KnowledgeGraph([Entity("a", "A")], [Relation("r", "r")], {})
     assert empty.known(0, 0, np.array([0])).tolist() == [False]
     assert _tails_of(empty, "a", "r") == []

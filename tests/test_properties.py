@@ -1,4 +1,6 @@
-"""Property tests: the whole-array candidate mask, the batched known-tail
+"""Property tests: the graph's split arrays and relation categories
+against the string construction and the per-triple classification kept
+in conftest, the whole-array candidate mask, the batched known-tail
 lookup, undeclared ids raising where they are numbered, top-k selection
 and chunked ranking against per-cell, per-query and sort-based
 references kept here, the three losses' gradients against central
@@ -11,6 +13,7 @@ fed corrupted files."""
 
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -46,7 +49,7 @@ from textkgc.encoder import (
     token_ids,
     tokenize,
 )
-from textkgc.errors import CheckpointError, ParseError, UnknownIdError
+from textkgc.errors import CheckpointError, KgcError, ParseError, UnknownIdError
 from textkgc.evaluation import (
     EntityEmbeddingIndex,
     RerankConfig,
@@ -59,14 +62,17 @@ from textkgc.evaluation import (
     write_embeddings,
 )
 from textkgc.graph import (
+    CATEGORIES,
     SHORT_DESCRIPTION_TOKENS,
     SPLITS,
+    UNKNOWN_CATEGORY,
     Entity,
     KnowledgeGraph,
     Relation,
     Triple,
+    add_inverse_triples,
     augment_description,
-    is_known_triple,
+    classify_relation,
     k_hop_neighbors,
     load_graph,
 )
@@ -80,21 +86,24 @@ from conftest import (
     plain_matrix,
     query_layout,
     reference_encode_backward,
+    reference_category,
     reference_rank_chunk,
+    reference_splits,
     tiny_params,
     write_dataset,
 )
 
 
-def _batch_for(rows, dim=4, seed=0):
+def _batch_for(g, rows, dim=4, seed=0):
     rng = np.random.default_rng(seed)
     vectors = rng.normal(size=(3, len(rows), dim))
     vectors /= np.linalg.norm(vectors, axis=2, keepdims=True)
-    return TrainingBatch([Triple(*r) for r in rows], *vectors)
+    return TrainingBatch(g.triple_numbers(rows), *vectors)
 
 
 def _reference_mask(g, rows, queue_ids, use_self_negatives):
-    """The per-cell masking loop, over a set of every split's triples."""
+    """The per-cell masking loop over id triples and queued ids, against a
+    set of every split's triples."""
     known = {trip for split in SPLITS for trip in g.triples(split)}
     B, Q = len(rows), len(queue_ids)
     mask = np.ones((B, B + Q + (1 if use_self_negatives else 0)), dtype=bool)
@@ -139,12 +148,15 @@ def test_assemble_mask_matches_per_cell_reference(
     # known triples in every split, repeated and reflexive tails, and ids
     # that no triple holds
     g = _pool_graph(train, valid, test)
-    batch = _batch_for(rows)
+    batch = _batch_for(g, rows)
     queue = PreBatchQueue(capacity)
     for ids in pushes:
-        queue.push(np.tile(np.eye(4)[0], (len(ids), 1)), ids)
+        queue.push(np.tile(np.eye(4)[0], (len(ids), 1)), g.entity_numbers(ids))
+    pushed = [e for ids in pushes for e in ids]
+    queued = pushed[len(pushed) - len(queue) :]  # the newest, up to the capacity
+    assert [g.entity_ids[n] for n in queue.entity_numbers.tolist()] == queued
     m = assemble_candidates(g, batch, queue, use_self_negatives)
-    assert np.array_equal(m.mask, _reference_mask(g, batch.rows, queue.entity_ids, use_self_negatives))
+    assert np.array_equal(m.mask, _reference_mask(g, [Triple(*r) for r in rows], queued, use_self_negatives))
 
 
 @settings(max_examples=300, deadline=None)
@@ -171,6 +183,67 @@ def test_known_tails_match_each_querys_key_slice(train, valid, test, queries):
     assert np.all(np.diff(rows) >= 0) and rows.size == tails.size
 
 
+_SPLIT_LISTS = dict(
+    train=st.lists(_triples, max_size=12),
+    valid=st.lists(_triples, max_size=6),
+    test=st.lists(_triples, max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_SPLIT_LISTS)
+@example(  # a duplicate in one split, a triple in all three, a reflexive one
+    train=[("a", "r", "b"), ("a", "r", "b"), ("c", "s", "c")], valid=[("a", "r", "b")], test=[("a", "r", "b")]
+)
+def test_split_arrays_match_the_string_construction(train, valid, test):
+    splits = {"train": train, "valid": valid, "test": test}
+    raw = _pool_graph(train, valid, test)
+    for g, augment in ((raw, False), (add_inverse_triples(raw), True)):
+        want, report = reference_splits(splits, augment)
+        assert g.load_report == report
+        assert g.relation_numbers(sorted(g.relations)).tolist() == list(range(len(g.relations)))
+        assert g.entity_numbers(sorted(g.entities)).tolist() == list(range(len(g.entities)))
+        for split in SPLITS:
+            assert list(g.triples(split)) == want[split]
+            rows = g.split_array(split)
+            assert rows.dtype == np.int64 and rows.shape == (len(want[split]), 3)
+            assert rows.tolist() == g.triple_numbers(want[split]).tolist()
+        # every (h, r, t) cell, against a set of every split's triples
+        known = {trip for rows in want.values() for trip in rows}
+        E, R = len(g.entities), len(g.relations)
+        cells = g.known(np.arange(E)[:, None, None], np.arange(R)[None, :, None], np.arange(E)[None, None, :])
+        for h, r, t in np.ndindex(E, R, E):
+            assert cells[h, r, t] == ((g.entity_ids[h], g.relation_ids[r], g.entity_ids[t]) in known)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_SPLIT_LISTS, seed=st.integers(0, 2**16))
+@example(  # "r" is 1-n at the threshold and "s" has no train triple
+    train=[("a", "r", "b"), ("a", "r", "c"), ("d", "r", "e")], valid=[], test=[("a", "s", "b")], seed=0
+)
+def test_category_array_matches_the_per_triple_reference(train, valid, test, seed):
+    raw = _pool_graph(train, valid, test)
+    aug = add_inverse_triples(raw)
+    for g in (raw, aug):
+        for n, relation_id in enumerate(g.relation_ids):
+            want = reference_category(g, relation_id)
+            assert CATEGORIES[g.categories[n]] == want
+            assert g.is_inverse[n] == g.relation(relation_id).is_inverse
+            if want == UNKNOWN_CATEGORY:
+                with pytest.raises(KgcError, match="no train triples"):
+                    classify_relation(g, relation_id)
+            else:
+                assert classify_relation(g, relation_id) == want
+    assume(test)
+    # the report counts each ranked triple under its relation's category,
+    # relations without train triples under "unknown"
+    vectors = np.random.default_rng(seed).normal(size=(len(aug.entities), 8))
+    idx = EntityEmbeddingIndex(list(aug.entity_ids), vectors, forward_passes=0)
+    result = evaluate(aug, idx, tiny_params(), "test")
+    want = Counter(reference_category(aug, r) for _, r, _ in aug.triples("test"))
+    assert {cat: row["count"] for cat, row in result.by_category.items()} == dict(want)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     train=st.lists(_triples, min_size=1, max_size=12),
@@ -182,7 +255,8 @@ def test_known_tails_match_each_querys_key_slice(train, valid, test, queries):
 )
 def test_undeclared_ids_raise_where_they_are_numbered(train, rows, queued, at, field, use_self_negatives):
     # one undeclared id among declared ones: in a batch row (and so in the
-    # triple ranked), or in the pre-batch queue (and so as the ranked tail)
+    # triple ranked), or among the ids of the pre-batch queue's tails (and so
+    # as the ranked tail)
     g = _pool_graph(train)
     kind, ghost = ("relation", "nope") if field == "relation" else ("entity", "zz")
     pool = RELATION_POOL if kind == "relation" else ENTITY_POOL
@@ -200,13 +274,15 @@ def test_undeclared_ids_raise_where_they_are_numbered(train, rows, queued, at, f
 
     with named():
         numbers(pool[:at] + [ghost] + pool[at:])
-    queue = PreBatchQueue(8).push(np.tile(np.eye(4)[0], (len(queued), 1)), queued)
-    with named():
-        assemble_candidates(g, _batch_for(rows), queue, use_self_negatives)
+    with named():  # a batch's rows and the queue's tails are numbered before they are assembled
+        batch = _batch_for(g, rows)
+        queue = PreBatchQueue(8).push(np.tile(np.eye(4)[0], (len(queued), 1)), g.entity_numbers(queued))
+        assemble_candidates(g, batch, queue, use_self_negatives)
     params = tiny_params()
     with named():
         rank_one(g, ev.build_index(g, params), params, triple)
-    assert not is_known_triple(g, triple)
+    with named():  # so ``known`` is never asked about it
+        g.triple_numbers([triple])
 
 
 @settings(max_examples=200, deadline=None)
@@ -436,7 +512,7 @@ def test_rerank_boost_matches_a_per_neighbor_loop(train, test, heads, alpha, hop
     idx = EntityEmbeddingIndex(list(g.entity_ids), rng.normal(size=(len(g.entity_ids), 4)), forward_passes=0)
     queries = rng.normal(size=(len(heads), 4))
     base = ev._exact_scores(queries, idx.matrix)
-    mask = ev._neighborhoods(g, heads, hops)
+    mask = ev._neighborhoods(g, g.entity_numbers(heads), hops)
     want = base.copy()
     for row, h in enumerate(heads):
         assert set(np.flatnonzero(mask[row]).tolist()) == {idx.entity_ids.index(e) for e in _reference_hood(g, h, hops)}
@@ -587,7 +663,7 @@ def test_banded_ranks_match_the_einsum_reference(n, dim, makes, train, test, boo
 
     # queries that are not unit vectors, straight into the ranker
     raw = rng.normal(size=(len(triples), dim)) * rng.uniform(0.5, 2.0, size=(len(triples), 1))
-    got = ev._rank_chunk(g, idx, triples, raw, cfg)
+    got = ev._rank_chunk(g, idx, g.split_array("test"), raw, cfg)
     assert got.tobytes() == reference_rank_chunk(g, idx, triples, raw, cfg).tobytes()
 
     # a re-scored cell is the full einsum's cell, whichever rows are re-scored

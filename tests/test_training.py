@@ -435,7 +435,7 @@ def test_run_batch_forward_pass_accounting(encoded_rows):
     g = chain_graph(6)
     params = tiny_params(buckets=64, dim=8)
     tokens = build_token_cache(g, params)[:4]
-    rows = g.triples("train")[:4]
+    rows = g.split_array("train")[:4]
     rng = np.random.default_rng(0)
 
     run_batch(g, params, rows, tokens, PreBatchQueue(0), small_config(), rng)
@@ -453,7 +453,7 @@ def test_run_batch_matches_scalar_cross_check():
     params = tiny_params(buckets=64, dim=8)
     cfg = small_config(batch_size=2)
     tokens = build_token_cache(g, params)[:2]
-    rows = g.triples("train")[:2]
+    rows = g.split_array("train")[:2]
     rng = np.random.default_rng(0)
     loss, buf, matrix, batch = run_batch(g, params, rows, tokens, PreBatchQueue(0), cfg, rng)
 
@@ -476,7 +476,7 @@ def test_run_batch_requires_rng_for_negative_cap():
     params = tiny_params(buckets=64, dim=8)
     cfg = small_config(max_negatives=2)
     tokens = build_token_cache(g, params)[:4]
-    rows = g.triples("train")[:4]
+    rows = g.split_array("train")[:4]
     with pytest.raises(KgcError, match="negative"):
         run_batch(g, params, rows, tokens, PreBatchQueue(0), cfg, np.random.default_rng(0))
 
