@@ -6,8 +6,10 @@ the description column may be empty).  All ids referenced by triples must be
 declared in the description files.  The graph numbers its entities and
 relations in sorted-id order and holds each split as one (n, 3) int64 array
 of (head, relation, tail) numbers, which training, false-negative masking
-and filtered ranking read; id strings appear only at the edges (file
-loading, ``triples``, predictions and the load report).
+and filtered ranking read.  The text helpers and the k-hop walk take entity
+numbers too, so id strings appear only at the edges: file loading, an id
+numbered where it enters (``entity_numbers``, ``relation_numbers``,
+``triple_numbers``), ``triples``, predictions and the load report.
 """
 
 from __future__ import annotations
@@ -65,9 +67,12 @@ class KnowledgeGraph:
 
     * each split's (head, relation, tail) rows, each triple once, first
       occurrences in input order (``split_array``)
+    * ``entities_by_number``, each number's ``Entity``, and
+      ``relation_texts``, each relation number's encoder text
     * the undirected train adjacency (for k-hop walks and text
       augmentation), built as one sorted int64 array of edge keys
       ``h * E + t`` in both directions and kept as each h's run of t
+      (``neighbor_numbers``)
     * the known triples of all splits, as one sorted int64 array of keys
       ``(h * R + r) * E + t``; ``known`` and ``known_tails`` answer from it
     * ``is_inverse``, a bool per relation, and ``categories``, each
@@ -102,6 +107,8 @@ class KnowledgeGraph:
         self.relation_ids = tuple(sorted(self._relations))
         self._entity_number = {e: i for i, e in enumerate(self.entity_ids)}
         self._relation_number = {r: i for i, r in enumerate(self.relation_ids)}
+        self.entities_by_number = tuple(self._entities[e] for e in self.entity_ids)
+        self.relation_texts = tuple(self._relations[r].description for r in self.relation_ids)
 
     def _build(self, numbered: Sequence[np.ndarray], load_report: Optional[dict]) -> None:
         """Every array of the graph, from one (n, 3) number array per split."""
@@ -187,13 +194,11 @@ class KnowledgeGraph:
         ids, relation_ids = self.entity_ids, self.relation_ids
         return tuple(Triple(ids[h], relation_ids[r], ids[t]) for h, r, t in self.split_array(split).tolist())
 
-    def neighbor_numbers(self, entity_id: str) -> np.ndarray:
-        """The ``entity_numbers`` of the entity's undirected train-graph
+    def neighbor_numbers(self, entity: int) -> np.ndarray:
+        """The numbers of entity number ``entity``'s undirected train-graph
         neighbors, increasing; the entity itself is one only through a
         reflexive train triple."""
-        self.entity(entity_id)
-        n = self._entity_number[entity_id]
-        return self._adjacency[self._adjacency_starts[n] : self._adjacency_starts[n + 1]]
+        return self._adjacency[self._adjacency_starts[entity] : self._adjacency_starts[entity + 1]]
 
     def entity_numbers(self, ids: Sequence[str]) -> np.ndarray:
         """Each entity's position in sorted-id order; an undeclared id raises
@@ -366,21 +371,18 @@ def add_inverse_triples(g: KnowledgeGraph) -> KnowledgeGraph:
     return aug
 
 
-def k_hop_neighbors(g: KnowledgeGraph, entity_id: str, k: int) -> np.ndarray:
-    """The ``entity_numbers`` of the entities within k undirected train-graph
-    hops, excluding self, increasing."""
+def k_hop_neighbors(g: KnowledgeGraph, entity: int, k: int) -> np.ndarray:
+    """The numbers of the entities within k undirected train-graph hops of
+    entity number ``entity``, excluding itself, increasing."""
     if k < 1:
         raise KgcError(f"hop count must be >= 1, got {k}")
-    g.entity(entity_id)
-    adjacency, starts = g._adjacency, g._adjacency_starts
-    origin = g._entity_number[entity_id]
-    seen, frontier = {origin}, {origin}
+    seen, frontier = {entity}, {entity}
     for _ in range(k):
-        frontier = {m for n in frontier for m in adjacency[starts[n] : starts[n + 1]].tolist()} - seen
+        frontier = {m for n in frontier for m in g.neighbor_numbers(n).tolist()} - seen
         if not frontier:
             break
         seen |= frontier
-    seen.discard(origin)
+    seen.discard(entity)
     return np.array(sorted(seen), dtype=np.int64)
 
 
@@ -398,20 +400,19 @@ def classify_relation(g: KnowledgeGraph, relation_id: str) -> str:
     return category
 
 
-def augment_description(g: KnowledgeGraph, entity_id: str, exclude: Optional[str] = None) -> str:
-    """Entity text for the encoder, padded with neighbor names when short.
+def augment_description(g: KnowledgeGraph, entity: int, exclude: Optional[int] = None) -> str:
+    """Encoder text of entity number ``entity``, padded with neighbor names when short.
 
     An empty description falls back to the entity name.  If the base text has
     fewer than ``SHORT_DESCRIPTION_TOKENS`` whitespace tokens, the names of the
     entity's undirected train neighbors are appended in entity-id order.
-    ``exclude`` drops one neighbor (the answer entity, during training) from
-    that list.
+    ``exclude``, an entity number, drops one neighbor (the answer entity,
+    during training) from that list.
     """
-    ent = g.entity(entity_id)
+    by_number = g.entities_by_number
+    ent = by_number[entity]
     base = ent.description.strip() or ent.name
     if len(base.split()) >= SHORT_DESCRIPTION_TOKENS:
         return base
-    neighbors = [g.entity_ids[n] for n in g.neighbor_numbers(entity_id).tolist()]
-    names = [g.entities[n].name for n in neighbors if n != entity_id and n != exclude]
+    names = [by_number[n].name for n in g.neighbor_numbers(entity).tolist() if n != entity and n != exclude]
     return " ".join([base, *names])
-

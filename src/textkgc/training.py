@@ -7,6 +7,9 @@ backpropagates into the gradients of the touched table rows, clips by
 global norm, and applies a decoupled-weight-decay adaptive update under a
 linear warmup/decay schedule.  All randomness comes from named streams of one seed,
 so logs and checkpoints are bit-identical across runs at a fixed seed.
+Training reads entity and relation numbers only (the train split array, the
+texts of ``augment_description`` and ``KnowledgeGraph.relation_texts``); it
+numbers no id string.
 """
 
 from __future__ import annotations
@@ -245,14 +248,11 @@ def build_token_cache(g: KnowledgeGraph, params: enc.EncoderParams) -> TrainToke
     is ever built; each matrix takes every third row.
     """
 
-    ids = g.entity_ids
-    relation_texts = [g.relations[r].description for r in g.relation_ids]
-
     def rows():
         for h, r, t in g.split_array("train").tolist():
-            head = augment_description(g, ids[h], exclude=ids[t])
-            yield head, relation_texts[r]
-            yield (augment_description(g, ids[t], exclude=ids[h]),)
+            head = augment_description(g, h, exclude=t)
+            yield head, g.relation_texts[r]
+            yield (augment_description(g, t, exclude=h),)
             yield (head,)
 
     tokens = enc.token_ids(rows(), params.buckets, params.max_tokens)

@@ -12,7 +12,7 @@ from textkgc import training as tr
 from textkgc.contrastive import IN_BATCH, CandidateMatrix
 from textkgc.encoder import EncoderParams, TokenIds, separator_index
 from textkgc.errors import NumericError
-from textkgc.evaluation import rerank_scores
+from textkgc.evaluation import query_vector, rerank_scores
 from textkgc.graph import (
     CARDINALITY_THRESHOLD,
     INVERSE_ID_PREFIX,
@@ -47,6 +47,17 @@ def make_graph(train, valid=(), test=(), descriptions=None, names=None, augment=
     }
     g = KnowledgeGraph(entities, relations, splits)
     return add_inverse_triples(g) if augment else g
+
+
+def entity_number(g, entity_id):
+    """The graph's number of one entity id, as a Python int."""
+    return int(g.entity_numbers([entity_id])[0])
+
+
+def id_queries(g, params, pairs):
+    """``query_vector`` of (head id, relation id) pairs, each id numbered first."""
+    heads, relations = zip(*pairs)
+    return query_vector(g, params, g.entity_numbers(heads), g.relation_numbers(relations))
 
 
 def reference_splits(splits, augment):
@@ -201,14 +212,14 @@ def reference_rank_chunk(g, idx, triples, queries, rerank):
     ranks must match these bit for bit.
     """
     targets = g.entity_numbers([t for _, _, t in triples])
-    heads = [h for h, _, _ in triples]
+    heads = g.entity_numbers([h for h, _, _ in triples])
     scores = np.einsum("qj,ij->qi", queries, idx.matrix)
     if rerank is not None and rerank.alpha != 0.0:
-        for row, head in enumerate(heads):
+        for row, head in enumerate(heads.tolist()):
             scores[row] = rerank_scores(scores[row], k_hop_neighbors(g, head, rerank.hops), rerank.alpha)
     rows = np.arange(len(triples))
     kept = np.ones(scores.shape, dtype=bool)
-    kept[g.known_tails(g.entity_numbers(heads), g.relation_numbers([r for _, r, _ in triples]))] = False
+    kept[g.known_tails(heads, g.relation_numbers([r for _, r, _ in triples]))] = False
     kept[rows, targets] = True
     target_scores = scores[rows, targets][:, None]
     greater = np.count_nonzero(kept & (scores > target_scores), axis=1)

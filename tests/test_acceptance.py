@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import synth
-from conftest import make_graph, write_dataset
+from conftest import entity_number, id_queries, make_graph, write_dataset
 from textkgc import encoder as enc
 from textkgc.cli import EXIT_OK, main
 from textkgc.contrastive import PreBatchQueue, TrainingBatch, assemble_candidates
@@ -23,7 +23,6 @@ from textkgc.evaluation import (
     build_index,
     evaluate,
     predict_topk,
-    query_vector,
     rank_one,
     rerank_scores,
 )
@@ -380,7 +379,7 @@ def test_criterion_03_rank_oracle():
             got = rank_one(g, idx, params, triple)
             # rank_one's row-wise dot: texts holding the same colliding buckets in
             # another order score an ulp apart, and the oracle must see that too
-            q = query_vector(g, params, [(triple.head, triple.relation)])[0]
+            q = id_queries(g, params, [(triple.head, triple.relation)])[0]
             scores = np.einsum("ij,j->i", idx.matrix, q)
             drop = np.zeros(len(idx.entity_ids), dtype=bool)
             numbered = sorted(g.entities)  # known_tails counts in sorted-id order
@@ -461,8 +460,8 @@ def test_criterion_07_rerank_exactness():
     bump_ok = True
     hood_sizes = []
     for head in (ents[0], ents[1], ents[17], ents[4]):
-        base = idx.matrix @ query_vector(g, params, [(head, "r")])[0]
-        hood = k_hop_neighbors(g, head, 2)
+        base = idx.matrix @ id_queries(g, params, [(head, "r")])[0]
+        hood = k_hop_neighbors(g, entity_number(g, head), 2)
         boosted = rerank_scores(base, hood, 0.05)
         changed = np.nonzero(boosted != base)[0]
         hood_rows = sorted(idx.entity_ids.index(g.entity_ids[n]) for n in hood.tolist())

@@ -20,15 +20,16 @@ from textkgc.evaluation import (
     build_index,
     evaluate,
     predict_topk,
-    query_vector,
     rank_one,
     read_embeddings,
     rerank_scores,
     write_embeddings,
 )
 from textkgc.graph import Triple, augment_description
+from textkgc.training import TrainConfig, train
 
-from conftest import make_graph, pad, tiny_params
+import synth
+from conftest import id_queries, make_graph, pad, tiny_params
 
 REPORT_KEYS = {
     "mrr", "hits1", "hits3", "hits10",
@@ -129,7 +130,7 @@ def test_build_index_rows_encode_augmented_descriptions():
     idx = build_index(g, params)
     for row, entity_id in enumerate(idx.entity_ids):
         assert g.entity_numbers([entity_id]).tolist() == [row]
-        tokens = tokenize(augment_description(g, entity_id), params.buckets, params.max_tokens)
+        tokens = tokenize(augment_description(g, row), params.buckets, params.max_tokens)
         expected = forward_tail(params, pad([tokens])).output[0]
         assert np.array_equal(idx.matrix[row], expected)
 
@@ -167,7 +168,7 @@ def _rank_fixture(extra_valid=()):
         augment=True,
     )
     params = tiny_params()
-    q = query_vector(g, params, [("a", "r")])[0]
+    q = id_queries(g, params, [("a", "r")])[0]
     return g, params, q
 
 
@@ -244,7 +245,7 @@ def test_rank_one_matches_exhaustive_oracle():
             # the row-wise dot rank_one scores with: texts that hold the same
             # colliding buckets in another order score an ulp apart, and the
             # oracle must see those gaps as the program does
-            q = query_vector(g, params, [(triple.head, triple.relation)])[0]
+            q = id_queries(g, params, [(triple.head, triple.relation)])[0]
             scores = np.einsum("ij,j->i", idx.matrix, q)
             target = scores[idx.entity_ids.index(triple.tail)]
             numbered = sorted(g.entities)  # known_tails counts in sorted-id order
@@ -281,7 +282,7 @@ def test_rerank_flips_argmax_inside_two_hops():
     # d scores 0.90, c scores 0.87; c is two hops from a, d is disconnected
     g = make_graph(train=[("a", "r", "b"), ("b", "r", "c"), ("d", "r", "e")], augment=True)
     params = tiny_params()
-    q = query_vector(g, params, [("a", "r")])[0]
+    q = id_queries(g, params, [("a", "r")])[0]
     ids = sorted(g.entities)
     want = {"a": 0.0, "b": 0.1, "c": 0.87, "d": 0.90, "e": 0.2}
     idx = crafted_index(ids, rows_with_scores(q, [want[e] for e in ids]))
@@ -326,8 +327,8 @@ def _two_direction_fixture():
         augment=True,
     )
     params = tiny_params()
-    qf = query_vector(g, params, [("e1", "r")])[0]
-    qi = query_vector(g, params, [("e2", "inverse::r")])[0]
+    qf = id_queries(g, params, [("e1", "r")])[0]
+    qi = id_queries(g, params, [("e2", "inverse::r")])[0]
     ids = sorted(g.entities)  # e1..e4
     forward = {"e1": 0.10, "e2": 0.90, "e3": 0.30, "e4": 0.20}
     inverse = {"e1": 0.10, "e2": 0.85, "e3": 0.60, "e4": 0.50}
@@ -469,9 +470,8 @@ def test_evaluate_tokenizes_each_distinct_text_once(monkeypatch):
     monkeypatch.setattr(enc, "tokenize", counted)
     monkeypatch.setattr(ev, "RANK_CELLS", 1)
     assert evaluate(g, idx, params).report() == want
-    triples = g.triples("test")
-    texts = {augment_description(g, h) for h, _, _ in triples}
-    texts |= {g.relation(r).description for _, r, _ in triples}
+    texts = {augment_description(g, h) for h in g.split_array("test")[:, 0].tolist()}
+    texts |= {g.relation(r).description for _, r, _ in g.triples("test")}
     assert sorted(calls) == sorted(texts)
 
 
@@ -481,7 +481,7 @@ def test_evaluate_tokenizes_each_distinct_text_once(monkeypatch):
 def test_predict_topk_orders_and_flags():
     g = make_graph(train=[("a", "r", "b"), ("b", "r", "c")], augment=True)
     params = tiny_params()
-    q = query_vector(g, params, [("a", "r")])[0]
+    q = id_queries(g, params, [("a", "r")])[0]
     ids = sorted(g.entities)
     want = {"a": 0.1, "b": 0.8, "c": 0.5}
     idx = crafted_index(ids, rows_with_scores(q, [want[e] for e in ids]))
@@ -495,7 +495,7 @@ def test_predict_topk_orders_and_flags():
 def test_predict_topk_tie_breaks_toward_smaller_id():
     g = make_graph(train=[("a", "r", "b"), ("a", "r", "c")], augment=True)
     params = tiny_params()
-    q = query_vector(g, params, [("a", "r")])[0]
+    q = id_queries(g, params, [("a", "r")])[0]
     rows = rows_with_scores(q, [0.0, 0.7, 0.7])
     rows[2] = rows[1].copy()
     idx = crafted_index(sorted(g.entities), rows)
@@ -510,7 +510,7 @@ def test_identical_rows_tie_exactly_in_rank_and_topk():
     twins = [f"t{i}" for i in range(7)]
     g = make_graph(train=[("a", "r", "o0")] + [("o1", "q", t) for t in twins], augment=True)
     params = tiny_params(buckets=64, dim=32, seed=8)
-    q = query_vector(g, params, [("a", "r")])[0]
+    q = id_queries(g, params, [("a", "r")])[0]
     ids = sorted(g.entities)  # a, o0..o3, t0..t6
     rng = np.random.default_rng(3)
     twin = rng.normal(size=32)
@@ -545,7 +545,7 @@ def test_twins_in_the_tail_rows_tie_in_rank_and_topk():
     twins = [f"t{i}" for i in range(10)]
     g = make_graph(train=[("a", "r", "o0")] + [("o1", "q", t) for t in twins], augment=True, entities=others)
     params = tiny_params(buckets=64, dim=32, seed=8)
-    q = query_vector(g, params, [("a", "r")])[0]
+    q = id_queries(g, params, [("a", "r")])[0]
     ids = sorted(g.entities)  # a, o0..o3, t0..t9: the twins hold every tail row
     assert len(ids) % 4 == 3
     rng = np.random.default_rng(3)
@@ -619,3 +619,31 @@ def test_evaluate_on_precomputed_index_matches_encoder_index(tmp_path):
     a.pop("forward_passes")
     assert b.pop("forward_passes") == 2  # only the query encodings remain
     assert a == b
+
+
+# -- ids only at the edges ---------------------------------------------------
+
+
+def test_hot_paths_number_no_id(monkeypatch):
+    # the index, plain and re-ranked evaluation and a train epoch read the
+    # graph's numbers only: none of them looks up or numbers an id string,
+    # and each gives what it gives with the lookups in place
+    g = synth.pattern_graph()
+    params = tiny_params(buckets=512, dim=16)
+    cfg = TrainConfig(batch_size=64, epochs=1, warmup_steps=4, seed=3)
+    rerank = RerankConfig(alpha=0.05, hops=2)
+
+    def run():
+        idx = build_index(g, params)
+        reports = [evaluate(g, idx, params).report(), evaluate(g, idx, params, rerank=rerank).report()]
+        trained, log = train(g, params.copy(), cfg)
+        return idx.matrix.tobytes(), reports, trained.hr_table.tobytes(), trained.tail_table.tobytes(), log
+
+    want = run()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an id was looked up or numbered inside a hot path")
+
+    for name in ("entity", "relation", "entity_numbers", "relation_numbers", "triple_numbers"):
+        monkeypatch.setattr(kg.KnowledgeGraph, name, refuse)
+    assert run() == want

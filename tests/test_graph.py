@@ -19,7 +19,7 @@ from textkgc.graph import (
     load_graph,
 )
 
-from conftest import make_graph, write_dataset
+from conftest import entity_number, make_graph, write_dataset
 
 
 # -- file loading ------------------------------------------------------------
@@ -187,8 +187,8 @@ def test_inverse_of_round_trips():
 
 
 def hop_ids(g, entity_id, k):
-    """``k_hop_neighbors`` mapped back to entity ids."""
-    return {g.entity_ids[n] for n in k_hop_neighbors(g, entity_id, k).tolist()}
+    """``k_hop_neighbors`` of the entity's number, mapped back to entity ids."""
+    return {g.entity_ids[n] for n in k_hop_neighbors(g, entity_number(g, entity_id), k).tolist()}
 
 
 def test_k_hop_on_a_chain():
@@ -205,24 +205,24 @@ def test_k_hop_numbers_increase():
         train=[(ids[0], "r", ids[33]), (ids[0], "r", ids[2]), (ids[39], "r", ids[2])],
         test=[(e, "r", e) for e in ids],
     )
-    assert k_hop_neighbors(g, "e00", 1).tolist() == [2, 33]
-    assert k_hop_neighbors(g, "e00", 2).tolist() == [2, 33, 39]
-    assert g.neighbor_numbers("e02").tolist() == [0, 39]
+    assert k_hop_neighbors(g, 0, 1).tolist() == [2, 33]  # e00
+    assert k_hop_neighbors(g, 0, 2).tolist() == [2, 33, 39]
+    assert g.neighbor_numbers(2).tolist() == [0, 39]  # e02
 
 
 def test_k_hop_isolated_entity_is_empty():
     g = make_graph(train=[("a", "r", "b")], test=[("c", "r", "a")])
     assert hop_ids(g, "c", 3) == set()
-    assert k_hop_neighbors(g, "c", 3).dtype == np.int64
+    assert k_hop_neighbors(g, entity_number(g, "c"), 3).dtype == np.int64
 
 
 def test_k_hop_excludes_self_and_validates():
     g = make_graph(train=[("a", "r", "b"), ("b", "r", "a"), ("a", "s", "a")])
     assert "a" not in hop_ids(g, "a", 5)
-    with pytest.raises(UnknownIdError):
-        k_hop_neighbors(g, "zz", 1)
+    with pytest.raises(UnknownIdError):  # an id is checked where it is numbered
+        g.entity_numbers(["zz"])
     with pytest.raises(KgcError):
-        k_hop_neighbors(g, "a", 0)
+        k_hop_neighbors(g, entity_number(g, "a"), 0)
 
 
 def test_k_hop_monotone_in_k(rng):
@@ -252,19 +252,19 @@ def test_k_hop_matches_bfs_oracle(rng):
         for h, _, t in g.triples("train"):
             undirected.setdefault(h, set()).add(t)
             undirected.setdefault(t, set()).add(h)
-        start = sorted(g.entities)[0]
         k = int(rng.integers(1, 4))
-        # plain frontier expansion, recomputed from scratch
-        seen, frontier = {start}, {start}
-        reach = set()
-        for _ in range(k):
-            frontier = {m for f in frontier for m in undirected.get(f, ())} - seen
-            seen |= frontier
-            reach |= frontier
-        assert hop_ids(g, start, k) == reach - {start}
-        numbers = k_hop_neighbors(g, start, k)
-        assert numbers.dtype == np.int64
-        assert numbers.tolist() == g.entity_numbers(sorted(reach - {start})).tolist()  # increasing
+        for start in g.entity_ids:
+            # plain frontier expansion, recomputed from scratch
+            seen, frontier = {start}, {start}
+            reach = set()
+            for _ in range(k):
+                frontier = {m for f in frontier for m in undirected.get(f, ())} - seen
+                seen |= frontier
+                reach |= frontier
+            assert hop_ids(g, start, k) == reach - {start}
+            numbers = k_hop_neighbors(g, entity_number(g, start), k)
+            assert numbers.dtype == np.int64
+            assert numbers.tolist() == g.entity_numbers(sorted(reach - {start})).tolist()  # increasing
 
 
 # -- relation categories -----------------------------------------------------
@@ -337,7 +337,7 @@ def test_classify_threshold_boundary():
 def test_long_description_returned_unchanged():
     text = " ".join(f"w{i}" for i in range(30))
     g = make_graph(train=[("a", "r", "b")], descriptions={"a": text})
-    assert augment_description(g, "a") == text
+    assert augment_description(g, entity_number(g, "a")) == text
 
 
 def test_short_description_appends_sorted_neighbor_names():
@@ -346,13 +346,14 @@ def test_short_description_appends_sorted_neighbor_names():
         descriptions={"a": "tiny desc here"},
         names={"x": "X", "y": "Y", "a": "A"},
     )
-    assert augment_description(g, "a") == "tiny desc here X Y"
-    assert augment_description(g, "a", exclude="x") == "tiny desc here Y"
+    a, x = g.entity_numbers(["a", "x"]).tolist()
+    assert augment_description(g, a) == "tiny desc here X Y"
+    assert augment_description(g, a, exclude=x) == "tiny desc here Y"
 
 
 def test_empty_description_falls_back_to_name():
     g = make_graph(train=[("a", "r", "b")], names={"a": "Alpha Org"})
-    assert augment_description(g, "a").startswith("Alpha Org")
+    assert augment_description(g, entity_number(g, "a")).startswith("Alpha Org")
 
 
 def test_threshold_counts_whitespace_tokens():
@@ -363,8 +364,8 @@ def test_threshold_counts_whitespace_tokens():
         descriptions={"a": exactly, "c": below},
         names={"b": "B", "d": "D"},
     )
-    assert augment_description(g, "a") == exactly
-    assert augment_description(g, "c") == below + " D"
+    assert augment_description(g, entity_number(g, "a")) == exactly
+    assert augment_description(g, entity_number(g, "c")) == below + " D"
 
 
 # -- filter index ------------------------------------------------------------
@@ -448,12 +449,13 @@ def test_known_answers_whole_arrays():
 
 def test_adjacency_covers_train_only():
     g = make_graph(train=[("a", "r", "b")], test=[("a", "q", "c")])
-    assert g.neighbor_numbers("a").tolist() == g.entity_numbers(["b"]).tolist()
-    assert g.neighbor_numbers("c").tolist() == []
-    with pytest.raises(UnknownIdError):
-        g.neighbor_numbers("zz")
+    a, b, c = g.entity_numbers(["a", "b", "c"]).tolist()
+    assert g.neighbor_numbers(a).tolist() == [b]
+    assert g.neighbor_numbers(c).tolist() == []
+    with pytest.raises(UnknownIdError):  # an id is checked where it is numbered
+        g.entity_numbers(["zz"])
     with pytest.raises(ValueError, match="read-only"):  # a view of the graph's own adjacency
-        g.neighbor_numbers("a")[0] = 2
+        g.neighbor_numbers(a)[0] = 2
 
 
 def test_accessors_raise_on_unknown_ids():

@@ -80,6 +80,8 @@ from textkgc.training import OptimizerState, TrainConfig, apply_update
 
 from conftest import (
     dense_apply_update,
+    entity_number,
+    id_queries,
     make_graph,
     optimizer_bytes,
     pad,
@@ -297,14 +299,14 @@ def test_predict_topk_matches_sorted_reference(levels, k, rerank):
     ids = [f"e{i:02d}" for i in range(len(levels))]
     g = make_graph(train=[(ids[i], "r", ids[i + 1]) for i in range(len(ids) - 1)], augment=True)
     params = tiny_params()
-    q = query_vector(g, params, [(ids[0], "r")])
+    q = id_queries(g, params, [(ids[0], "r")])
     # equal levels give bitwise-equal rows, so their scores tie exactly
     idx = EntityEmbeddingIndex(ids, np.outer([0.1 * level for level in levels], q[0]), forward_passes=0)
     cfg = RerankConfig(0.05, 2) if rerank else None
 
     scores = ev._exact_scores(q, idx.matrix)[0]
     if cfg is not None:
-        scores = rerank_scores(scores, k_hop_neighbors(g, ids[0], cfg.hops), cfg.alpha)
+        scores = rerank_scores(scores, k_hop_neighbors(g, entity_number(g, ids[0]), cfg.hops), cfg.alpha)
     order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))[:k]
     _, tails = g.known_tails(g.entity_numbers(ids[:1]), g.relation_numbers(["r"]))
     known = {ids[n] for n in tails.tolist()}  # ids are sorted
@@ -471,15 +473,16 @@ _DESCRIPTIONS = st.sampled_from(["", "  ", "few words", " ".join(["w"] * (SHORT_
     test=st.lists(_triples, min_size=1, max_size=4),
     descriptions=st.lists(_DESCRIPTIONS, min_size=len(ENTITY_POOL), max_size=len(ENTITY_POOL)),
     augment=st.booleans(),
-    exclude=st.sampled_from([None, *ENTITY_POOL, "zz"]),  # "zz": an id no graph declares
 )
 @example(  # a reflexive triple, and c has no train neighbor
     train=[("a", "r", "a"), ("a", "r", "b"), ("b", "s", "a")], test=[("c", "s", "a")],
-    descriptions=[""] * len(ENTITY_POOL), augment=True, exclude="b",
+    descriptions=[""] * len(ENTITY_POOL), augment=True,
 )
-def test_augment_description_matches_string_set_reference(train, test, descriptions, augment, exclude):
+def test_augment_description_matches_string_set_reference(train, test, descriptions, augment):
     # reflexive train triples, entities only the test split declares (no
-    # train neighbors), and plain and inverse-augmented graphs
+    # train neighbors), and plain and inverse-augmented graphs; every entity
+    # number against every exclude, none, and one past the last number,
+    # which names no entity, as "zz" names none in the reference
     g = make_graph(
         train=train,
         test=test,
@@ -487,9 +490,11 @@ def test_augment_description_matches_string_set_reference(train, test, descripti
         names={e: f"Name {e.upper()}" for e in ENTITY_POOL},
         augment=augment,
     )
-    for e in g.entity_ids:
-        assert augment_description(g, e) == _reference_augment(g, e)
-        assert augment_description(g, e, exclude=exclude) == _reference_augment(g, e, exclude)
+    ids = g.entity_ids
+    for e, entity_id in enumerate(ids):
+        assert augment_description(g, e) == _reference_augment(g, entity_id)
+        for exclude, exclude_id in [*enumerate(ids), (len(ids), "zz")]:
+            assert augment_description(g, e, exclude=exclude) == _reference_augment(g, entity_id, exclude_id)
 
 
 @settings(max_examples=200, deadline=None)
@@ -519,7 +524,7 @@ def test_rerank_boost_matches_a_per_neighbor_loop(train, test, heads, alpha, hop
         for e in _reference_hood(g, h, hops):
             want[row, idx.entity_ids.index(e)] += alpha
         # predict_topk's boost
-        got = rerank_scores(base[row], k_hop_neighbors(g, h, hops), alpha)
+        got = rerank_scores(base[row], k_hop_neighbors(g, entity_number(g, h), hops), alpha)
         assert got.tobytes() == want[row].tobytes()
     # _rank_chunk's boost, one mask per chunk
     got = base.copy()
@@ -563,7 +568,7 @@ def _sort_reference_rank(g, idx, q, triple, rerank):
     h, r, t = triple
     scores = np.einsum("ij,j->i", idx.matrix, q)  # one query at a time
     if rerank is not None:
-        for n in k_hop_neighbors(g, h, rerank.hops).tolist():
+        for n in k_hop_neighbors(g, entity_number(g, h), rerank.hops).tolist():
             scores[idx.entity_ids.index(g.entity_ids[n])] += rerank.alpha
     known = {trip for split in SPLITS for trip in g.triples(split)}
     target = scores[idx.entity_ids.index(t)]
@@ -597,7 +602,7 @@ def test_evaluate_ranks_match_rank_one_and_a_sort_reference(train, valid, test, 
         result = evaluate(g, idx, params, "test", cfg)
     assert [row.triple for row in result.rankings] == list(g.triples("test"))
     for row in result.rankings:
-        q = query_vector(g, params, [row.triple[:2]])[0]
+        q = id_queries(g, params, [row.triple[:2]])[0]
         assert row.rank == rank_one(g, idx, params, row.triple, cfg)
         assert row.rank == _sort_reference_rank(g, idx, q, row.triple, cfg)
 
@@ -646,12 +651,12 @@ def test_banded_ranks_match_the_einsum_reference(n, dim, makes, train, test, boo
     idx = EntityEmbeddingIndex(ids, rows, forward_passes=0)
     params = tiny_params(dim=dim, seed=seed)
     triples = g.triples("test")
-    queries = query_vector(g, params, [(h, r) for h, r, _ in triples])
+    queries = id_queries(g, params, [(h, r) for h, r, _ in triples])
 
     alpha = float(rng.uniform(0.0, 0.5)) if boost == "any" else 0.0
     if boost == "tie":  # the boost lifts a neighbor of the first head onto a row outside its neighborhood
         exact = np.einsum("qj,ij->qi", queries[:1], idx.matrix)[0]
-        hood = k_hop_neighbors(g, triples[0].head, hops).tolist()
+        hood = k_hop_neighbors(g, entity_number(g, triples[0].head), hops).tolist()
         gaps = [exact[a] - exact[b] for a in range(n) if a not in hood for b in hood if exact[a] >= exact[b]]
         alpha = float(gaps[seed % len(gaps)]) if gaps else 0.0
     cfg = None if boost == "off" else RerankConfig(alpha, hops)
@@ -693,14 +698,16 @@ def test_query_vector_batch_matches_each_query_alone(pairs, chunk):
         augment=True,
     )
     params = tiny_params(buckets=64, dim=16)
+    heads = g.entity_numbers([h for h, _ in pairs])
+    relations = g.relation_numbers([r for _, r in pairs])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ev, "INDEX_CHUNK", chunk)
-        batch = query_vector(g, params, pairs)
-    for row, (h, r) in zip(batch, pairs):
-        alone = query_vector(g, params, [(h, r)])[0]
+        batch = query_vector(g, params, heads, relations)
+    for row, h, r, (_, relation_id) in zip(batch, heads.tolist(), relations.tolist(), pairs):
+        alone = query_vector(g, params, np.array([h]), np.array([r]))[0]
         tokens = query_layout(
             tokenize(augment_description(g, h), params.buckets, params.max_tokens),
-            tokenize(g.relation(r).description, params.buckets, params.max_tokens),
+            tokenize(g.relation(relation_id).description, params.buckets, params.max_tokens),
             params.buckets,
             params.max_tokens,
         )

@@ -393,11 +393,11 @@ def test_token_cache_holds_one_padded_matrix_per_role(monkeypatch):
         assert not tokens.ids[i, tokens.lengths[i] :].any()  # zero padding
         return tokens.ids[i, : tokens.lengths[i]].tolist()
 
-    triples = g.triples("train")
+    triples = g.split_array("train").tolist()
     assert len(cache.query) == len(cache.tail) == len(cache.head) == len(triples)
     for i, (h, r, t) in enumerate(triples):
         head = original(augment_description(g, h, exclude=t), 64, 6)
-        rel = original(g.relation(r).description, 64, 6)
+        rel = original(g.relation(g.relation_ids[r]).description, 64, 6)
         assert row(cache.query, i) == query_layout(head, rel, 64, 6)
         assert row(cache.tail, i) == original(augment_description(g, t, exclude=h), 64, 6)
         assert row(cache.head, i) == head
@@ -408,9 +408,9 @@ def test_token_cache_holds_one_padded_matrix_per_role(monkeypatch):
 def _per_triple_token_cache(g, buckets, max_tokens):
     """The token cache built from one token list per triple and role, padded at the end."""
     heads, relations, tails = [], [], []
-    for h, r, t in g.triples("train"):
+    for h, r, t in g.split_array("train").tolist():
         heads.append(enc.tokenize(augment_description(g, h, exclude=t), buckets, max_tokens))
-        relations.append(enc.tokenize(g.relation(r).description, buckets, max_tokens))
+        relations.append(enc.tokenize(g.relation(g.relation_ids[r]).description, buckets, max_tokens))
         tails.append(enc.tokenize(augment_description(g, t, exclude=h), buckets, max_tokens))
     queries = [query_layout(h, r, buckets, max_tokens) for h, r in zip(heads, relations)]
     return pad(queries), pad(tails), pad(heads)
