@@ -155,16 +155,23 @@ def assemble_candidates(
     if use_self_negatives:
         scores[:, sn_column] = (batch.hr_embs * batch.self_embs).sum(axis=1)
 
+    # one (row, distinct candidate) table of what each row must not score
+    # as a negative: its known tails and its own tail; the columns are read
+    # from it by each candidate's index into the distinct entity numbers
     heads, relations, tails = batch.rows.T
-    candidates = np.concatenate([tails, queue.entity_numbers])
+    distinct, column = np.unique(np.concatenate([tails, queue.entity_numbers, heads]), return_inverse=True)
+    known_rows, known_tails = g.known_tails(heads, relations)
+    at = distinct.searchsorted(known_tails)
+    hit = distinct.take(at, mode="clip") == known_tails  # the known tails among the candidates
+    excluded = np.zeros((B, distinct.size), dtype=bool)
+    excluded[known_rows[hit], at[hit]] = True
+    excluded[np.arange(B), column[:B]] = True
 
     mask = np.ones((B, C), dtype=bool)
-    mask[:, : B + Q] = ~(
-        (candidates == tails[:, None]) | g.known(heads[:, None], relations[:, None], candidates)
-    )
+    mask[:, : B + Q] = ~excluded[:, column[: B + Q]]
     mask[np.arange(B), np.arange(B)] = True
     if use_self_negatives:
-        mask[:, sn_column] = ~((heads == tails) | g.known(heads, relations, heads))
+        mask[:, sn_column] = ~excluded[np.arange(B), column[B + Q :]]
     return CandidateMatrix(scores, mask, provenance, B, sn_column)
 
 
@@ -177,16 +184,34 @@ def disable_in_batch_negatives(m: CandidateMatrix) -> None:
 
 
 def limit_negatives(m: CandidateMatrix, max_negatives: int, rng: np.random.Generator) -> None:
-    """Keep at most ``max_negatives`` unmasked negatives per row, sampled without replacement."""
+    """Keep at most ``max_negatives`` unmasked negatives per row, sampled
+    uniformly without replacement.
+
+    Each row over the cap draws one ``rng.random`` key per column, rows in
+    order, and keeps the ``max_negatives`` negatives of smallest (key,
+    column).  The diagonal is never touched.
+    """
     if max_negatives < 0:
         raise KgcError(f"negative cap must be >= 0, got {max_negatives}")
-    for i, row in enumerate(m.mask):
-        negs = np.flatnonzero(row)
-        negs = negs[negs != i]
-        if negs.size > max_negatives:
-            keep = rng.choice(negs, size=max_negatives, replace=False)
-            row[negs] = False
-            row[keep] = True
+    B, C = m.size
+    negatives = m.mask.copy()
+    negatives[np.arange(B), np.arange(B)] = False
+    over = np.flatnonzero(np.count_nonzero(negatives, axis=1) > max_negatives)
+    if not over.size:
+        return
+    keys = rng.random((over.size, C))
+    keys[~negatives[over]] = np.inf  # an over-cap row has more than max_negatives finite keys
+    kept = np.zeros((over.size, C), dtype=bool)
+    if max_negatives:
+        # a row keeps its keys below its max_negatives-th smallest key and,
+        # of the keys equal to that one, the first in column order; sorted
+        # values, unlike a sort's index order, are the same on every numpy
+        bound = np.sort(keys, axis=1)[:, max_negatives - 1, None]
+        kept = keys < bound
+        ties = keys == bound
+        kept |= ties & (np.cumsum(ties, axis=1) <= max_negatives - np.count_nonzero(kept, axis=1)[:, None])
+    kept[np.arange(over.size), over] = m.mask[over, over]
+    m.mask[over] = kept
 
 
 def _positive_scores(m: CandidateMatrix) -> np.ndarray:

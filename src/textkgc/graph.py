@@ -198,7 +198,14 @@ class KnowledgeGraph:
         """The numbers of entity number ``entity``'s undirected train-graph
         neighbors, increasing; the entity itself is one only through a
         reflexive train triple."""
+        self._check_entity_number(entity)
         return self._adjacency[self._adjacency_starts[entity] : self._adjacency_starts[entity + 1]]
+
+    def _check_entity_number(self, entity: int) -> None:
+        """Raise ``KgcError`` unless ``entity`` is in [0, E): a negative
+        number would otherwise index from the end."""
+        if not 0 <= entity < len(self.entity_ids):
+            raise KgcError(f"entity number {entity} is out of range [0, {len(self.entity_ids)})")
 
     def entity_numbers(self, ids: Sequence[str]) -> np.ndarray:
         """Each entity's position in sorted-id order; an undeclared id raises
@@ -409,6 +416,7 @@ def augment_description(g: KnowledgeGraph, entity: int, exclude: Optional[int] =
     ``exclude``, an entity number, drops one neighbor (the answer entity,
     during training) from that list.
     """
+    g._check_entity_number(entity)
     by_number = g.entities_by_number
     ent = by_number[entity]
     base = ent.description.strip() or ent.name

@@ -1,6 +1,8 @@
 """Candidate assembly, masking, the three losses, and their exact gradients."""
 
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -178,6 +180,28 @@ def test_negative_count_law_small():
             assert m.negatives_per_row().tolist() == [(P + 1) * B] * B
 
 
+def test_assemble_allocates_nothing_proportional_to_the_entity_count():
+    # 50,000 entities and 8 rows, each head with 30 known tails: the mask
+    # table spans the batch's distinct candidates, never every entity
+    E, B = 50_000, 8
+    ids = [f"e{i:05d}" for i in range(E)]
+    rows = [(ids[i], "r", ids[B + i]) for i in range(B)]
+    known = [(ids[i], "r", ids[E - 1 - 30 * i - k]) for i in range(B) for k in range(30)]
+    g = make_graph(train=rows + known, entities=ids)
+    batch = _batch_for(g, rows)
+    queue = PreBatchQueue(2 * B).push(np.tile(np.eye(4)[0], (2 * B, 1)), g.entity_numbers(ids[-2 * B :]))
+    tracemalloc.start()
+    try:
+        m = assemble_candidates(g, batch, queue, use_self_negatives=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < B * E / 10
+    # the queue holds the last 16 entities, all known tails of row 0 only
+    assert not m.mask[0, B : 3 * B].any() and m.mask[1:, B : 3 * B].all()
+    assert m.negatives_per_row().tolist() == [(B - 1) + 1] + [(B - 1) + 2 * B + 1] * (B - 1)
+
+
 def test_disable_in_batch_negatives_keeps_diagonal():
     g = make_graph(train=[("a", "r", "b"), ("c", "r", "d"), ("z", "r", "a")])
     batch = _batch_for(g, [("a", "r", "b"), ("c", "r", "d")])
@@ -203,18 +227,23 @@ def test_limit_negatives_caps_each_row(rng):
 
 
 def _limit_negatives_per_cell(mask, max_negatives, rng):
-    """Reference cap: one row at a time, one cell at a time."""
+    """Reference cap: one row at a time, one cell at a time.  A row over the
+    cap draws one key per column and keeps the negatives of smallest (key,
+    column)."""
     B, C = mask.shape
     for i in range(B):
         negs = [j for j in range(C) if mask[i, j] and j != i]
         if len(negs) > max_negatives:
-            keep = set(rng.choice(negs, size=max_negatives, replace=False).tolist())
+            keys = rng.random(C)
+            keep = set(sorted(negs, key=lambda j: (keys[j], j))[:max_negatives])
             for j in negs:
                 if j not in keep:
                     mask[i, j] = False
 
 
-def test_limit_negatives_matches_per_cell_reference(rng):
+def _check_limit_against_reference(rng, keys):
+    """``limit_negatives`` against the per-cell reference on 200 random
+    masks and caps; ``keys(seed)`` makes the generator both draw from."""
     for _ in range(200):
         seed = int(rng.integers(1 << 30))
         B = int(rng.integers(1, 9))
@@ -223,13 +252,59 @@ def test_limit_negatives_matches_per_cell_reference(rng):
         mask[np.arange(B), np.arange(B)] = rng.random(B) < 0.9
         cap = int(rng.integers(0, C + 1))
         want = mask.copy()
-        want_rng = np.random.default_rng(seed)
+        want_rng = keys(seed)
         _limit_negatives_per_cell(want, cap, want_rng)
         m = plain_matrix(np.zeros((B, C)), mask=mask)
-        got_rng = np.random.default_rng(seed)
+        got_rng = keys(seed)
         limit_negatives(m, cap, got_rng)
         assert np.array_equal(m.mask, want)
         assert got_rng.random() == want_rng.random()  # same draws consumed
+
+
+def test_limit_negatives_matches_per_cell_reference(rng):
+    _check_limit_against_reference(rng, np.random.default_rng)
+
+
+class _CoarseKeys:
+    """A generator whose keys take the 3 values 0, 1/4 and 1/2, so a row's
+    keys tie often; ``random()`` with no size draws an uncoarsened float,
+    so comparing one such draw checks that two streams stand at one place."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def random(self, size=None):
+        draw = self.rng.random(size)
+        return draw if size is None else np.floor(draw * 3) / 4
+
+
+def test_limit_negatives_breaks_key_ties_by_column(rng):
+    _check_limit_against_reference(rng, _CoarseKeys)
+    m = plain_matrix(np.zeros((2, 6)))
+    limit_negatives(m, 2, SimpleNamespace(random=np.zeros))  # every key ties
+    assert m.mask.tolist() == [[True, True, True, False, False, False], [True, True, True, False, False, False]]
+
+
+def test_limit_negatives_keeps_each_negative_equally_often():
+    # row 0 has the 7 usable negatives 1..7 (column 8 is masked), row 1 has
+    # 2, fewer than the cap; 3000 capped draws keep each of row 0's
+    # negatives about cap / 7 of the time
+    B, C, cap, draws = 2, 9, 3, 3000
+    mask = np.ones((B, C), dtype=bool)
+    mask[0, 8] = False
+    mask[1, 2:] = False
+    rng = np.random.default_rng(11)
+    kept = np.zeros((B, C))
+    for _ in range(draws):
+        m = plain_matrix(np.zeros((B, C)), mask=mask)
+        limit_negatives(m, cap, rng)
+        assert (m.mask <= mask).all()  # only removals
+        assert m.mask[np.arange(B), np.arange(B)].all()  # the positive is never dropped
+        assert m.negatives_per_row().tolist() == [cap, 1]  # min(n, cap)
+        kept += m.mask
+    share = kept / draws
+    assert np.abs(share[0, 1:8] - cap / 7).max() < 0.03
+    assert share[0, 8] == 0 and share[1].tolist() == [1, 1] + [0] * 7
 
 
 def test_limit_negatives_noop_below_cap(rng):

@@ -458,6 +458,21 @@ def test_adjacency_covers_train_only():
         g.neighbor_numbers(a)[0] = 2
 
 
+def test_entity_numbers_outside_the_graph_raise():
+    # -1 would index the last entity and E would read past the adjacency
+    g = make_graph(train=[("a", "r", "b"), ("b", "r", "c")])
+    E = len(g.entity_ids)
+    for number in (-1, E):
+        with pytest.raises(KgcError, match=rf"entity number {number} is out of range \[0, {E}\)"):
+            g.neighbor_numbers(number)
+        with pytest.raises(KgcError, match="out of range"):
+            augment_description(g, number)
+        with pytest.raises(KgcError, match="out of range"):
+            k_hop_neighbors(g, number, 2)
+    assert g.neighbor_numbers(E - 1).tolist() == [1]
+    assert augment_description(g, E - 1) == "c b"
+
+
 def test_accessors_raise_on_unknown_ids():
     g = make_graph(train=[("a", "r", "b")])
     with pytest.raises(UnknownIdError):
