@@ -4,9 +4,9 @@ Each step encodes a shuffled batch of (head, relation) queries and tails
 (plus heads-as-candidates when self-negatives are on), assembles the
 candidate matrix, computes the configured loss with exact gradients,
 backpropagates into the gradients of the touched table rows, clips by
-global norm, and applies a decoupled-weight-decay adaptive update under a
-linear warmup/decay schedule.  All randomness comes from named streams of one seed,
-so logs and checkpoints are bit-identical across runs at a fixed seed.
+global norm, and applies AdamW (its decay held as one scale of both tables)
+under a linear warmup/decay schedule.  All randomness comes from named streams
+of one seed, so logs and checkpoints are bit-identical across runs at a fixed seed.
 Training reads entity and relation numbers only (the train split array, the
 texts of ``augment_description`` and ``KnowledgeGraph.relation_texts``); it
 numbers no id string.
@@ -32,7 +32,7 @@ NEGATIVE_SOURCES = ("ib", "pb", "sn")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-DECAY_CELLS = 2**17  # table elements per weight-decay chunk; bounds its reused buffer
+FOLD_BELOW = 0.5  # a scale under this is folded into the tables, so V never exceeds 2 W
 
 
 @dataclass
@@ -96,7 +96,8 @@ class OptimizerState:
     ``m_*``/``v_*`` are bucket-indexed ``(buckets, d)`` moment tables and
     ``touched_*`` ``(buckets,)`` masks of the rows that have ever had a
     gradient.  A row outside its mask has m = v = 0 exactly, so
-    ``apply_update`` steps the moments of masked rows only.
+    ``apply_update`` steps the moments of masked rows only.  Both tables
+    decay alike, so each is W = ``scale`` · V, with V in the params.
     """
 
     m_hr: np.ndarray
@@ -108,6 +109,7 @@ class OptimizerState:
     m_tau: float = 0.0
     v_tau: float = 0.0
     step: int = 0
+    scale: float = 1.0
 
     @classmethod
     def zeros(cls, buckets: int, dim: int) -> "OptimizerState":
@@ -156,20 +158,18 @@ def apply_update(
 ) -> tuple[enc.EncoderParams, OptimizerState]:
     """One adaptive-moment step with bias correction and decoupled weight decay.
 
-    theta <- theta - lr * mhat / (sqrt(vhat) + eps) - lr * weight_decay * theta.
-    Weight decay is not applied to the temperature parameter.
-
-    m, v and the moment step run on the rows that have ever had a gradient
-    only.  Every other row has m = v = 0, so its full-table step would be
-    0 / (0 + eps) = 0 and leave it bitwise unchanged; every operation is
-    elementwise, so each element gets the bits of the full-table update.
-    Weight decay and the finiteness check cover the whole table, in one
-    pass (``_decay``).
+    W <- W - lr * mhat / (sqrt(vhat) + eps) - lr * weight_decay * W, where
+    W = scale · V and ``grads`` holds dL/dW; the temperature is not decayed.
+    m, v and V run on the rows that have ever had a gradient only (every
+    other row has m = v = 0, so its step is exactly 0): V[live] -= (lr /
+    scale) * update, checked, then scale *= 1 - lr * weight_decay.  No whole
+    table is read unless the scale falls below ``FOLD_BELOW`` (or is not
+    finite, which ``fold`` rejects).
     """
     state.step += 1
-    t = state.step
-    bc1 = 1.0 - ADAM_BETA1**t
-    bc2 = 1.0 - ADAM_BETA2**t
+    bc1 = 1.0 - ADAM_BETA1**state.step
+    bc2 = 1.0 - ADAM_BETA2**state.step
+    step = lr / state.scale
 
     for table_name, ids, rows, m, v, touched in (
         (enc.HR_TABLE, grads.hr_ids, grads.hr, state.m_hr, state.v_hr, state.touched_hr),
@@ -185,10 +185,13 @@ def apply_update(
             v_live = ADAM_BETA2 * v[live] + (1.0 - ADAM_BETA2) * np.square(g)
             m[live], v[live] = m_live, v_live
             update = (m_live / bc1) / (np.sqrt(v_live / bc2) + ADAM_EPS)
-            table[live] -= lr * update
-        finite = _decay(table, lr * cfg.weight_decay) if cfg.weight_decay else np.isfinite(table).all()
-        if not finite:
-            raise NumericError(f"non-finite parameter value in {table_name}_table after update")
+            table[live] = written = table[live] - step * update
+        bad = ~np.isfinite(written).all(axis=1)
+        if bad.any():
+            raise NumericError(f"non-finite parameter value in {table_name}_table[{live[bad.argmax()]}] after update")
+    state.scale *= 1.0 - lr * cfg.weight_decay
+    if not state.scale >= FOLD_BELOW:  # a nan or -inf scale folds too, and fold rejects it
+        fold(params, state)
 
     state.m_tau = ADAM_BETA1 * state.m_tau + (1.0 - ADAM_BETA1) * grads.log_inv_tau
     state.v_tau = ADAM_BETA2 * state.v_tau + (1.0 - ADAM_BETA2) * grads.log_inv_tau**2
@@ -198,27 +201,21 @@ def apply_update(
     return params, state
 
 
-def _decay(table: np.ndarray, factor: float) -> bool:
-    """``table -= factor * table`` in chunks of about ``DECAY_CELLS`` elements.
+def fold(params: enc.EncoderParams, state: OptimizerState) -> None:
+    """Multiply both tables by ``state.scale``, reset it to 1 and check every value.
 
-    Each chunk is multiplied into one reused buffer, subtracted in place and
-    checked while it is still in cache.  These are the elementwise operations
-    of the whole-table expression, so every element gets its bits.  Every
-    chunk is decayed before the result is returned: True when every value of
-    the table is finite.
+    The only whole-table pass of training: at ``train``'s entry (scale 1:
+    a check only), at every epoch's end, and when the scale falls below
+    ``FOLD_BELOW``.
     """
-    rows = max(1, DECAY_CELLS // table.shape[1])
-    buffer = np.empty((min(rows, table.shape[0]), table.shape[1]))
-    finite = True
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, table.shape[0], rows):
-            chunk = table[start : start + rows]
-            scaled = buffer[: chunk.shape[0]]
-            np.multiply(chunk, factor, out=scaled)
-            np.subtract(chunk, scaled, out=chunk)
-            if finite:
-                finite = bool(np.isfinite(chunk).all())
-    return finite
+    for table_name in (enc.HR_TABLE, enc.TAIL_TABLE):
+        table = params.table(table_name)
+        if state.scale != 1.0:
+            with np.errstate(over="ignore", invalid="ignore"):  # finiteness is checked below
+                table *= state.scale
+        if not np.isfinite(table).all():
+            raise NumericError(f"non-finite parameter value in {table_name}_table at step {state.step}")
+    state.scale = 1.0
 
 
 @dataclass(frozen=True)
@@ -323,11 +320,6 @@ def run_batch(
     return loss, buffer, matrix, batch
 
 
-def _steps_per_epoch(n: int, batch_size: int) -> int:
-    full, rem = divmod(n, batch_size)
-    return full + (1 if rem >= 2 else 0)
-
-
 def train(
     g: KnowledgeGraph,
     params: enc.EncoderParams,
@@ -336,8 +328,8 @@ def train(
 ) -> tuple[enc.EncoderParams, list[str]]:
     """Run the full training loop and return the params and per-step log lines.
 
-    The graph must be inverse-augmented.  A checkpoint is written at the end
-    of every epoch when a path is given.  Each log line reads
+    The graph must be inverse-augmented and the params finite.  Each epoch
+    ends with a ``fold``, then a checkpoint when a path is given.  Each log line reads
     ``step=<n> loss=<f> lr=<f> tau=<f> fwd=<n>`` where ``fwd`` is the
     cumulative count of encoded texts: two per row (query and tail), three
     with self-negatives.
@@ -353,12 +345,14 @@ def train(
     dropout_rng = named_stream(cfg.seed, "dropout")
     negative_rng = named_stream(cfg.seed, "negatives")
 
+    state = OptimizerState.zeros(params.buckets, params.dim)
+    fold(params, state)  # at scale 1 this only checks: a non-finite value fails at step 0
     tokens = build_token_cache(g, params)
-    total_steps = _steps_per_epoch(n, cfg.batch_size) * cfg.epochs
+    full, rem = divmod(n, cfg.batch_size)  # a last batch of one row is skipped
+    total_steps = (full + (rem >= 2)) * cfg.epochs
 
     use_pb = "pb" in cfg.negatives
     queue = ct.PreBatchQueue(cfg.pre_batches * cfg.batch_size if use_pb else 0)
-    state = OptimizerState.zeros(params.buckets, params.dim)
     texts_per_row = 3 if "sn" in cfg.negatives else 2
     encoded = 0
     log_lines: list[str] = []
@@ -380,6 +374,8 @@ def train(
             encoded += texts_per_row * len(rows)
             if not math.isfinite(loss):
                 raise NumericError(f"non-finite loss at step {global_step}")
+            buffer.hr /= state.scale  # the forward pass read V = W / scale: dL/dW = dL/dV / scale
+            buffer.tail /= state.scale
             clip_gradients(buffer, cfg.grad_clip)
             apply_update(params, state, buffer, lr, cfg)
             if use_pb:
@@ -388,6 +384,7 @@ def train(
                 f"step={global_step} loss={loss!r} lr={lr!r} tau={tau_now!r} fwd={encoded}"
             )
             global_step += 1
+        fold(params, state)  # every epoch, so the bits never depend on the checkpoint path
         if checkpoint_path is not None:
             enc.save_checkpoint(params, checkpoint_path)
     return params, log_lines

@@ -163,45 +163,88 @@ def reference_encode_backward(encoding, upstream):
     return ids, grads
 
 
-def dense_apply_update(params, state, grads, lr, cfg):
-    """Reference AdamW step over every row of both tables.
-
-    Scatters the gradient rows into a full ``(buckets, d)`` array and steps
-    m, v and the table everywhere; ``training.apply_update`` must match it
-    bit for bit.  Leaves ``state.touched_*`` alone.
-    """
-    state.step += 1
+def _dense_moments(state, grads, table_name, shape):
+    """Step one table's m and v over every row; returns its full Adam update."""
     t = state.step
     bc1 = 1.0 - tr.ADAM_BETA1**t
     bc2 = 1.0 - tr.ADAM_BETA2**t
-    for table_name, ids, rows, m, v in (
-        (enc.HR_TABLE, grads.hr_ids, grads.hr, state.m_hr, state.v_hr),
-        (enc.TAIL_TABLE, grads.tail_ids, grads.tail, state.m_tail, state.v_tail),
-    ):
+    ids, rows, m, v = (
+        (grads.hr_ids, grads.hr, state.m_hr, state.v_hr)
+        if table_name == enc.HR_TABLE
+        else (grads.tail_ids, grads.tail, state.m_tail, state.v_tail)
+    )
+    g = np.zeros(shape)
+    g[ids] = rows
+    m *= tr.ADAM_BETA1
+    m += (1.0 - tr.ADAM_BETA1) * g
+    v *= tr.ADAM_BETA2
+    v += (1.0 - tr.ADAM_BETA2) * np.square(g)
+    return (m / bc1) / (np.sqrt(v / bc2) + tr.ADAM_EPS)
+
+
+def _dense_temperature_step(params, state, grads, lr):
+    bc1 = 1.0 - tr.ADAM_BETA1**state.step
+    bc2 = 1.0 - tr.ADAM_BETA2**state.step
+    state.m_tau = tr.ADAM_BETA1 * state.m_tau + (1.0 - tr.ADAM_BETA1) * grads.log_inv_tau
+    state.v_tau = tr.ADAM_BETA2 * state.v_tau + (1.0 - tr.ADAM_BETA2) * grads.log_inv_tau**2
+    params.log_inv_tau -= lr * (state.m_tau / bc1) / (math.sqrt(state.v_tau / bc2) + tr.ADAM_EPS)
+
+
+def dense_apply_update(params, state, grads, lr, cfg):
+    """Reference AdamW step of the scale law over every row of both tables.
+
+    Each table is W = ``state.scale`` · V with V in the params: scatters the
+    gradient rows (dL/dW) into a full ``(buckets, d)`` array, steps m, v and
+    V -= (lr / scale) · update everywhere, multiplies the scale by
+    1 - lr · weight_decay and, when it drops below ``tr.FOLD_BELOW``,
+    multiplies both tables by it and resets it to 1.  ``training.apply_update``
+    must match it bit for bit.  Leaves ``state.touched_*`` alone.
+    """
+    state.step += 1
+    step = lr / state.scale
+    for table_name in (enc.HR_TABLE, enc.TAIL_TABLE):
         table = params.table(table_name)
-        g = np.zeros(table.shape)
-        g[ids] = rows
         with np.errstate(over="ignore", invalid="ignore"):
-            m *= tr.ADAM_BETA1
-            m += (1.0 - tr.ADAM_BETA1) * g
-            v *= tr.ADAM_BETA2
-            v += (1.0 - tr.ADAM_BETA2) * np.square(g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + tr.ADAM_EPS)
-            table -= lr * update
+            table -= step * _dense_moments(state, grads, table_name, table.shape)
+    state.scale *= 1.0 - lr * cfg.weight_decay
+    if state.scale < tr.FOLD_BELOW:
+        with np.errstate(over="ignore", invalid="ignore"):
+            params.hr_table *= state.scale
+            params.tail_table *= state.scale
+        state.scale = 1.0
+    for table_name in (enc.HR_TABLE, enc.TAIL_TABLE):
+        if not np.isfinite(params.table(table_name)).all():
+            raise NumericError(f"non-finite parameter value in {table_name}_table after update")
+    _dense_temperature_step(params, state, grads, lr)
+    return params, state
+
+
+def decoupled_dense_update(params, state, grads, lr, cfg):
+    """Reference AdamW step of the plain decoupled law over every row: the tables hold W.
+
+    W -= lr · update, then W -= lr · weight_decay · W on every row, every
+    step.  ``dense_apply_update`` follows the same law on W = scale · V, so
+    the two agree bitwise in m, v and the temperature, and in the tables up to
+    rounding (bitwise when weight_decay is 0).  Ignores ``state.scale``.
+    """
+    state.step += 1
+    for table_name in (enc.HR_TABLE, enc.TAIL_TABLE):
+        table = params.table(table_name)
+        with np.errstate(over="ignore", invalid="ignore"):
+            table -= lr * _dense_moments(state, grads, table_name, table.shape)
             if cfg.weight_decay:
                 table -= lr * cfg.weight_decay * table
         if not np.isfinite(table).all():
             raise NumericError(f"non-finite parameter value in {table_name}_table after update")
-    state.m_tau = tr.ADAM_BETA1 * state.m_tau + (1.0 - tr.ADAM_BETA1) * grads.log_inv_tau
-    state.v_tau = tr.ADAM_BETA2 * state.v_tau + (1.0 - tr.ADAM_BETA2) * grads.log_inv_tau**2
-    params.log_inv_tau -= lr * (state.m_tau / bc1) / (math.sqrt(state.v_tau / bc2) + tr.ADAM_EPS)
+    _dense_temperature_step(params, state, grads, lr)
     return params, state
 
 
 def optimizer_bytes(params, state):
-    """The bytes of both tables, all four moment tables and the temperature."""
+    """The bytes of both tables, all four moment tables, the temperature and the decay scale."""
     arrays = (params.hr_table, params.tail_table, state.m_hr, state.v_hr, state.m_tail, state.v_tail)
-    return [a.tobytes() for a in arrays] + [np.float64(params.log_inv_tau).tobytes()]
+    scalars = np.array([params.log_inv_tau, state.scale])
+    return [a.tobytes() for a in arrays] + [scalars.tobytes()]
 
 
 def reference_rank_chunk(g, idx, triples, queries, rerank):

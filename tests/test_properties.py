@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from textkgc import encoder as enc
 from textkgc import evaluation as ev
+from textkgc import training as tr
 from textkgc.contrastive import (
     IN_BATCH,
     PRE_BATCH,
@@ -79,6 +80,7 @@ from textkgc.graph import (
 from textkgc.training import OptimizerState, TrainConfig, apply_update
 
 from conftest import (
+    decoupled_dense_update,
     dense_apply_update,
     entity_number,
     id_queries,
@@ -814,16 +816,73 @@ def test_touched_row_update_matches_dense_reference(steps, weight_decay, seed):
     state, ref_state = OptimizerState.zeros(8, dim), OptimizerState.zeros(8, dim)
     cfg = TrainConfig(weight_decay=weight_decay)
     for hr_ids, tail_ids, lr, exponent in steps:
-        grads = [rng.normal(size=(len(ids), dim)) * 10.0**exponent for ids in (hr_ids, tail_ids)]
-        if hr_ids:
-            grads[0][0, 0] = -0.0
-        buf = GradientBuffer(
-            np.array(hr_ids, dtype=np.int64), grads[0],
-            np.array(tail_ids, dtype=np.int64), grads[1], rng.normal(),
-        )
+        buf = _update_buffer(rng, hr_ids, tail_ids, exponent, dim)
         apply_update(params, state, buf, lr, cfg)
         dense_apply_update(ref_params, ref_state, buf, lr, cfg)
         assert optimizer_bytes(params, state) == optimizer_bytes(ref_params, ref_state)
+
+
+def _update_buffer(rng, hr_ids, tail_ids, exponent, dim):
+    grads = [rng.normal(size=(len(ids), dim)) * 10.0**exponent for ids in (hr_ids, tail_ids)]
+    if hr_ids:
+        grads[0][0, 0] = -0.0
+    return GradientBuffer(
+        np.array(hr_ids, dtype=np.int64), grads[0],
+        np.array(tail_ids, dtype=np.int64), grads[1], rng.normal(),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(_ROW_IDS, _ROW_IDS, st.floats(0.0, 1.0), st.integers(-4, 2)), min_size=1, max_size=8
+    ),
+    weight_decay=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    seed=st.integers(0, 2**16),
+)
+def test_scale_law_matches_the_decoupled_law(steps, weight_decay, seed):
+    """The scale law is the decoupled AdamW law up to rounding.
+
+    Fed the same gradients, m, v and the temperature agree bitwise, and so do
+    the tables when weight_decay is 0 (the scale stays exactly 1).  Otherwise
+    each step adds rounding errors of a few units in the last place of
+    M = max |W| and A = lr · max |update|: the decoupled step rounds
+    lr · update, W - lr · update, the decay product and the difference (at
+    most 3.5 units of u = eps / 2 of M + A); the scale law rounds lr / scale,
+    its product with the update, V - that (at most 3 u of M + A, in W
+    units), 1 - lr · weight_decay and its product with the scale (2 u of
+    M + A, a relative error of the whole table) and the fold (u of M).
+    Errors add up and never grow: later steps multiply them by
+    1 - lr · weight_decay <= 1.  So the folded tables may differ by at most
+    9.5 u (M + A) per step; the test allows 8 eps (M + A) = 16 u.
+    """
+    dim = 3
+    rng = np.random.default_rng(seed)
+    params = tiny_params(buckets=8, dim=dim, seed=seed)
+    ref_params = params.copy()
+    state, ref_state = OptimizerState.zeros(8, dim), OptimizerState.zeros(8, dim)
+    cfg = TrainConfig(weight_decay=weight_decay)
+    eps = np.finfo(float).eps
+    tolerance = 0.0
+    for hr_ids, tail_ids, lr, exponent in steps:
+        buf = _update_buffer(rng, hr_ids, tail_ids, exponent, dim)
+        before = max(np.abs(ref_params.hr_table).max(), np.abs(ref_params.tail_table).max())
+        apply_update(params, state, buf, lr, cfg)
+        decoupled_dense_update(ref_params, ref_state, buf, lr, cfg)
+        assert optimizer_bytes(params, state)[2:6] == optimizer_bytes(ref_params, ref_state)[2:6]  # m, v
+        assert params.log_inv_tau.hex() == ref_params.log_inv_tau.hex()
+        bc1, bc2 = 1.0 - tr.ADAM_BETA1**state.step, 1.0 - tr.ADAM_BETA2**state.step
+        update = max(
+            np.abs((m / bc1) / (np.sqrt(v / bc2) + tr.ADAM_EPS)).max()
+            for m, v in ((state.m_hr, state.v_hr), (state.m_tail, state.v_tail))
+        )
+        after = max(np.abs(ref_params.hr_table).max(), np.abs(ref_params.tail_table).max())
+        tolerance += 8 * eps * (max(before, after) + lr * update)
+        for table, ref in ((params.hr_table, ref_params.hr_table), (params.tail_table, ref_params.tail_table)):
+            if weight_decay == 0.0:
+                assert state.scale == 1.0 and table.tobytes() == ref.tobytes()
+            else:
+                assert np.abs(table * state.scale - ref).max() <= tolerance
 
 
 # -- loaders fed corrupted files ---------------------------------------------------

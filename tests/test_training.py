@@ -1,6 +1,7 @@
 """Schedule, clipping, the optimizer update, and the end-to-end training loop."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,13 +24,22 @@ from textkgc.training import (
     apply_update,
     build_token_cache,
     clip_gradients,
+    fold,
     lr_at,
     run_batch,
     train,
 )
 
 import synth
-from conftest import dense_apply_update, make_graph, optimizer_bytes, pad, query_layout, tiny_params
+from conftest import (
+    decoupled_dense_update,
+    dense_apply_update,
+    make_graph,
+    optimizer_bytes,
+    pad,
+    query_layout,
+    tiny_params,
+)
 
 
 def fresh_params(seed=7, buckets=64, dim=8, max_tokens=enc.DEFAULT_MAX_TOKENS):
@@ -179,8 +189,25 @@ def test_update_zero_gradient_applies_pure_decay():
     state = OptimizerState.zeros(4, 2)
     cfg = small_config(weight_decay=0.1)
     apply_update(params, state, _buffer(dim=2), lr=1.0, cfg=cfg)
+    assert state.scale == 0.9  # the decay is held in the scale; the stored rows keep their bits
+    assert np.array_equal(params.tail_table, np.full((4, 2), 2.0))
+    fold(params, state)
+    assert state.scale == 1.0
     assert np.allclose(params.tail_table, 2.0 * 0.9, atol=1e-12)
     assert params.log_inv_tau == before_tau  # decay never touches the temperature
+
+
+def test_update_folds_the_scale_when_it_drops_below_one_half():
+    params = tiny_params(buckets=4, dim=2)
+    params.hr_table[:] = 1.0
+    state = OptimizerState.zeros(4, 2)
+    cfg = small_config(weight_decay=0.25)
+    apply_update(params, state, _buffer(dim=2), lr=1.0, cfg=cfg)  # scale 0.75
+    assert state.scale == 0.75 and np.array_equal(params.hr_table, np.ones((4, 2)))
+    apply_update(params, state, _buffer(dim=2), lr=1.0, cfg=cfg)  # 0.5625
+    apply_update(params, state, _buffer(dim=2), lr=1.0, cfg=cfg)  # 0.421875 < 1/2: folded
+    assert state.scale == 1.0
+    assert np.array_equal(params.hr_table, np.full((4, 2), 0.75**3))
 
 
 def test_update_moments_accumulate_across_steps():
@@ -219,7 +246,7 @@ def _random_buffer(rng, hr_ids, tail_ids, dim, scale=1.0):
     return _buffer(hr=hr, tail=tail, tau=scale * rng.normal(), dim=dim)
 
 
-@pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-4, 5.0])  # 5.0 folds at steps 5 and 7
 def test_update_matches_dense_reference_bitwise(weight_decay):
     buckets, dim = 16, 3
     params = tiny_params(buckets=buckets, dim=dim, seed=3)
@@ -240,7 +267,7 @@ def test_update_matches_dense_reference_bitwise(weight_decay):
         ([1, 5], [2], 1.0),
         ([1, 12], [2, 9, 15], 100.0),
     ]
-    clipped = 0
+    clipped, unit_scale = 0, []
     for step, (hr_ids, tail_ids, scale) in enumerate(schedule):
         buf = _random_buffer(rng, hr_ids, tail_ids, dim, scale)
         if step == 0:
@@ -252,44 +279,60 @@ def test_update_matches_dense_reference_bitwise(weight_decay):
         apply_update(params, state, buf, lr, cfg)
         dense_apply_update(ref_params, ref_state, buf, lr, cfg)
         assert optimizer_bytes(params, state) == optimizer_bytes(ref_params, ref_state), step
+        unit_scale.append(state.scale == 1.0)
     assert clipped == 1
+    if weight_decay == 5.0:  # lr * weight_decay = 0.05 (step + 1): the scale folds twice
+        assert [step for step, unit in enumerate(unit_scale) if unit] == [4, 6]
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
-@pytest.mark.parametrize("chunk_rows", [1, 3, 15, 17])  # 1, 3, buckets - 1 and buckets + 1 rows
-def test_chunked_decay_matches_dense_reference_bitwise(monkeypatch, chunk_rows, weight_decay):
-    buckets, dim = 16, 3
-    monkeypatch.setattr(tr, "DECAY_CELLS", chunk_rows * dim)
-    params = tiny_params(buckets=buckets, dim=dim, seed=4)
-    params.tail_table[15, 0] = -0.0  # last row, first touched at the last step
-    ref_params = params.copy()
-    state, ref_state = OptimizerState.zeros(buckets, dim), OptimizerState.zeros(buckets, dim)
-    cfg = small_config(weight_decay=weight_decay)
-    rng = np.random.default_rng(chunk_rows)
-    for step, (hr_ids, tail_ids) in enumerate([([0, 14], [3]), ([], []), ([15], [0, 9]), ([2], [15])]):
-        buf = _random_buffer(rng, hr_ids, tail_ids, dim)
-        apply_update(params, state, buf, 0.05, cfg)
-        dense_apply_update(ref_params, ref_state, buf, 0.05, cfg)
-        assert optimizer_bytes(params, state) == optimizer_bytes(ref_params, ref_state), step
-
-
-@pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
-@pytest.mark.parametrize("bad_row", [15, 1])  # the last chunk, alone; the first chunk
-def test_update_detects_non_finite_value_in_any_chunk(monkeypatch, weight_decay, bad_row):
+@pytest.mark.parametrize("bad_row", [15, 1])
+def test_fold_detects_non_finite_value_in_a_never_touched_row(weight_decay, bad_row):
     buckets, dim = 16, 2
-    monkeypatch.setattr(tr, "DECAY_CELLS", 3 * dim)
     params = tiny_params(buckets=buckets, dim=dim)
     params.tail_table[bad_row, 1] = np.inf  # a row no gradient ever touches
-    ref_params = params.copy()
-    state, ref_state = OptimizerState.zeros(buckets, dim), OptimizerState.zeros(buckets, dim)
+    state = OptimizerState.zeros(buckets, dim)
     buf = _buffer(hr=[(0, [1.0, -1.0])], tail=[(2, [0.5, 0.5])], dim=dim)
     cfg = small_config(weight_decay=weight_decay)
-    with pytest.raises(NumericError, match="tail_table"):
-        apply_update(params, state, buf, lr=0.1, cfg=cfg)
-    with pytest.raises(NumericError, match="tail_table"):
-        dense_apply_update(ref_params, ref_state, buf, lr=0.1, cfg=cfg)
-    # every chunk was decayed before the raise, as the whole-table step does
-    assert optimizer_bytes(params, state) == optimizer_bytes(ref_params, ref_state)
+    apply_update(params, state, buf, lr=0.1, cfg=cfg)  # checks only the rows it wrote
+    with pytest.raises(NumericError, match=r"tail_table at step 1"):
+        fold(params, state)
+
+
+def test_update_names_the_row_it_wrote_non_finite():
+    params = tiny_params(buckets=4, dim=2)
+    params.tail_table[3, 0] = np.inf
+    state = OptimizerState.zeros(4, 2)
+    with pytest.raises(NumericError, match=r"tail_table\[3\] after update"):
+        apply_update(params, state, _buffer(tail=[(3, [1.0, 0.0])], dim=2), lr=0.1, cfg=small_config())
+
+
+def test_update_touches_only_the_rows_with_a_gradient_at_full_scale():
+    # 30000 x 64 tables and a gradient on 10 rows: every other stored row
+    # keeps its bytes, and nothing proportional to a table is allocated
+    buckets, dim = 30_000, 64
+    rng = np.random.default_rng(5)
+    params = EncoderParams(rng.normal(size=(buckets, dim)), rng.normal(size=(buckets, dim)), 3.0)
+    before = params.copy()
+    state = OptimizerState.zeros(buckets, dim)
+    ids = np.sort(rng.choice(buckets, size=10, replace=False))
+    buf = GradientBuffer(ids[:5], rng.normal(size=(5, dim)), ids[5:], rng.normal(size=(5, dim)), 0.5)
+    tracemalloc.start()
+    try:
+        apply_update(params, state, buf, lr=0.05, cfg=small_config(weight_decay=1e-4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < params.hr_table.nbytes / 10
+    assert state.scale == 1.0 - 0.05 * 1e-4
+    for table, old, touched in (
+        (params.hr_table, before.hr_table, ids[:5]),
+        (params.tail_table, before.tail_table, ids[5:]),
+    ):
+        rest = np.ones(buckets, dtype=bool)
+        rest[touched] = False
+        assert table[rest].tobytes() == old[rest].tobytes()
+        assert (table[touched] != old[touched]).all(axis=1).all()
 
 
 def test_update_steps_only_touched_rows_and_keeps_the_rest_exact():
@@ -587,9 +630,66 @@ def test_train_rejects_tiny_dataset():
 def test_train_aborts_on_non_finite_loss():
     g = chain_graph(8)
     params = fresh_params()
-    params.hr_table[:] = np.nan
-    with pytest.raises(NumericError, match="step 0"):
+    params.log_inv_tau = math.nan  # finite tables pass the entry check; the loss is nan
+    with pytest.raises(NumericError, match="non-finite loss at step 0"):
         train(g, params, small_config())
+
+
+# row -1 is the separator bucket, which no tail text reaches
+@pytest.mark.parametrize("table, row, value", [("hr", 0, np.nan), ("tail", -1, np.inf)])
+def test_train_rejects_non_finite_params_at_entry(encoded_rows, table, row, value):
+    g = chain_graph(8)
+    params = fresh_params()
+    params.table(table)[row, 3] = value
+    with pytest.raises(NumericError, match=rf"{table}_table at step 0"):
+        train(g, params, small_config())
+    assert encoded_rows["rows"] == 0
+
+
+def test_train_without_decay_is_byte_identical_to_the_decoupled_law(tmp_path, monkeypatch):
+    # weight_decay = 0 keeps the scale at exactly 1.0, so training stores W
+    # itself and every step has the bits of the plain decoupled update
+    g = synth.pattern_graph()
+    cfg = TrainConfig(batch_size=64, epochs=2, peak_lr=0.05, warmup_steps=8, grad_clip=0.05,
+                      weight_decay=0.0, negatives=frozenset({"ib", "pb", "sn"}), seed=19)
+    runs = []
+    for update in (tr.apply_update, decoupled_dense_update):
+        monkeypatch.setattr(tr, "apply_update", update)
+        path = tmp_path / f"{update.__name__}.tsv"
+        _, log = train(g, fresh_params(buckets=512, dim=16), cfg, checkpoint_path=str(path))
+        runs.append((path.read_bytes(), log))
+    assert runs[0] == runs[1]
+
+
+def test_train_matches_the_decoupled_law_up_to_rounding(monkeypatch):
+    # lr * weight_decay up to 0.25 per step: the scale folds every few steps,
+    # and the table gradients must be divided by it for clipping and the
+    # moments to see dL/dW; a missing division moves the tables by about 2e-4
+    g = chain_graph(8)
+    cfg = small_config(epochs=3, peak_lr=0.05, warmup_steps=2, weight_decay=5.0, grad_clip=0.5)
+    runs = []
+    for update in (tr.apply_update, decoupled_dense_update):
+        monkeypatch.setattr(tr, "apply_update", update)
+        runs.append(train(g, fresh_params(), cfg)[0])
+    scale_law, decoupled = runs
+    for a, b in ((scale_law.hr_table, decoupled.hr_table), (scale_law.tail_table, decoupled.tail_table)):
+        assert not np.array_equal(a, b)
+        assert np.abs(a - b).max() <= 1e-12
+    assert abs(scale_law.log_inv_tau - decoupled.log_inv_tau) <= 1e-12
+
+
+def test_train_bits_do_not_depend_on_the_checkpoint_path(tmp_path):
+    g = chain_graph(8)
+    cfg = small_config(epochs=3, peak_lr=0.05, warmup_steps=2, weight_decay=0.5)
+    path = tmp_path / "model.tsv"
+    plain, _ = train(g, fresh_params(), cfg)
+    saved, _ = train(g, fresh_params(), cfg, checkpoint_path=str(path))
+    loaded = load_checkpoint(str(path))
+    # the scale is folded at every epoch's end, so the last file holds the returned W
+    assert plain.hr_table.tobytes() == saved.hr_table.tobytes() == loaded.hr_table.tobytes()
+    assert plain.tail_table.tobytes() == saved.tail_table.tobytes() == loaded.tail_table.tobytes()
+    assert plain.log_inv_tau == saved.log_inv_tau == loaded.log_inv_tau
+    assert not np.array_equal(plain.hr_table, fresh_params().hr_table)
 
 
 def test_train_is_byte_identical_to_dense_update(tmp_path, monkeypatch):
