@@ -19,7 +19,7 @@ from . import encoder as enc
 from . import evaluation as ev
 from . import training as tr
 from .errors import KgcError, NumericError, ParseError
-from .files import read_lines, replace_file
+from .files import check_replaceable, read_lines, replace_file
 from .graph import KnowledgeGraph, add_inverse_triples, load_graph
 from .randomness import named_stream
 
@@ -247,6 +247,8 @@ def _fresh_params(cfg: dict) -> enc.EncoderParams:
 
 def cmd_train(cfg: dict) -> int:
     train_cfg, params = _train_config(cfg), _fresh_params(cfg)  # every option checked before any output
+    for path in (cfg["out"], cfg["out"] + ".log"):  # before the graph loads and the run trains
+        check_replaceable(path)
     g = _load_augmented(cfg)
     params, log_lines = tr.train(g, params, train_cfg, checkpoint_path=cfg["out"])
     with replace_file(cfg["out"] + ".log") as fh:

@@ -2,10 +2,11 @@
 the ``repr``-float row format of checkpoint and embedding files."""
 
 import os
+import stat
 from contextlib import contextmanager
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .errors import CheckpointError, ParseError
+from .errors import CheckpointError, KgcError, ParseError
 
 
 def read_lines(path: str, error: type[ParseError] = ParseError) -> Iterator[tuple[int, str]]:
@@ -24,11 +25,27 @@ def read_lines(path: str, error: type[ParseError] = ParseError) -> Iterator[tupl
             raise error(path, next(bad, len(lines)), "not valid UTF-8") from None
 
 
+def check_replaceable(path: str) -> None:
+    """Raise ``KgcError`` naming the file when ``path`` or its ``<path>.tmp``
+    exists and is not a regular file (a FIFO, a device, a directory, or a
+    symlink to one): ``replace_file`` would put a regular file in its place,
+    and opening a FIFO for writing waits for a reader."""
+    for name in (path, path + ".tmp"):
+        try:
+            mode = os.stat(name).st_mode
+        except FileNotFoundError:  # a dangling symlink too: nothing behind it to lose
+            continue
+        if not stat.S_ISREG(mode):
+            raise KgcError(f"{name}: exists and is not a regular file; not replacing it")
+
+
 @contextmanager
 def replace_file(path: str) -> Iterator[TextIO]:
     """A UTF-8 handle on ``<path>.tmp``, renamed over ``path`` when the block
-    ends; an exception removes it and leaves ``path`` as it was.  No ``fsync``:
-    this guards against a crash of the process, not of the machine."""
+    ends; an exception removes it and leaves ``path`` as it was.  A path that
+    ``check_replaceable`` refuses raises before anything is written.  No
+    ``fsync``: this guards against a crash of the process, not of the machine."""
+    check_replaceable(path)
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:

@@ -393,6 +393,45 @@ def k_hop_neighbors(g: KnowledgeGraph, entity: int, k: int) -> np.ndarray:
     return np.array(sorted(seen), dtype=np.int64)
 
 
+def k_hop_mask(g: KnowledgeGraph, entities: np.ndarray, k: int) -> np.ndarray:
+    """(len(entities), E) bool mask whose row i marks ``k_hop_neighbors(g,
+    entities[i], k)``.
+
+    Every row walks at once: each hop gathers the adjacency runs of the
+    whole frontier, held as flat ``row * E + entity`` keys, and keeps the
+    keys the mask has not marked yet, so no pass reads the whole mask.
+    """
+    if k < 1:
+        raise KgcError(f"hop count must be >= 1, got {k}")
+    if len(entities):
+        g._check_entity_number(int(entities.min()))
+        g._check_entity_number(int(entities.max()))
+    E = len(g.entity_ids)
+    mask = np.zeros((len(entities), E), dtype=bool)
+    marked = mask.reshape(-1)  # a view: marking a key marks the mask
+    own = np.arange(len(entities)) * E + entities  # each row's start
+    marked[own] = True
+    frontier = own
+    starts = g._adjacency_starts
+    for _ in range(k):
+        # a key reached along two paths is walked once (a sort, not
+        # ``np.unique``, which is 10x slower on these sizes); the last hop's
+        # keys are only marked, so they are never deduplicated
+        keys = np.sort(frontier)
+        rows, nodes = np.divmod(keys[np.diff(keys, prepend=-1) != 0], E)
+        counts = starts[nodes + 1] - starts[nodes]
+        # the same run gather as ``known_tails``: output j of key i reads
+        # adjacency starts[nodes[i]] + (j - offset of key i)
+        at = np.arange(counts.sum()) + np.repeat(starts[nodes] - (np.cumsum(counts) - counts), counts)
+        reached = np.repeat(rows * E, counts) + g._adjacency[at]
+        frontier = reached[~marked[reached]]
+        if not frontier.size:
+            break
+        marked[frontier] = True
+    marked[own] = False
+    return mask
+
+
 def classify_relation(g: KnowledgeGraph, relation_id: str) -> str:
     """Cardinality category of a relation: one of '1-1', '1-n', 'n-1', 'n-n'.
 

@@ -3,6 +3,9 @@
 import dataclasses
 import errno
 import json
+import os
+import re
+import stat
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from textkgc import encoder as enc
 from textkgc import evaluation as ev
 from textkgc import files
 from textkgc.cli import _OPTS, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _train_config, main
+from textkgc.errors import KgcError
 from textkgc.graph import add_inverse_triples, load_graph
 from textkgc.training import TrainConfig
 
@@ -810,3 +814,55 @@ def test_a_failed_write_keeps_the_old_file(trained_once, tmp_path, capsys, monke
     assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
     assert target.read_bytes() == before
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+# -- targets that are not regular files ----------------------------------------
+
+
+def _not_replacing(path):
+    return f"error: {path}: exists and is not a regular file; not replacing it\n"
+
+
+@pytest.mark.parametrize("where", ["path", "symlink", "tmp"])
+def test_the_writer_refuses_a_target_that_is_not_a_regular_file(tmp_path, where):
+    # a FIFO at the path, behind a symlink at the path, or at <path>.tmp
+    target = tmp_path / "out.json"
+    fifo = {"path": target, "symlink": tmp_path / "pipe", "tmp": tmp_path / "out.json.tmp"}[where]
+    os.mkfifo(fifo)
+    if where == "symlink":
+        target.symlink_to(fifo)
+    before = sorted(tmp_path.iterdir())
+    named = fifo if where == "tmp" else target
+    with pytest.raises(KgcError, match=f"^{re.escape(str(named))}: exists and is not a regular file"):
+        with files.replace_file(str(target)) as fh:
+            fh.write("{}\n")
+    assert sorted(tmp_path.iterdir()) == before
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert target.is_symlink() == (where == "symlink")
+
+
+@pytest.mark.parametrize("kind", list(OUTPUT_KINDS))
+def test_every_output_refuses_a_fifo_with_one_error_line(trained_once, tmp_path, capsys, kind):
+    flags, checkpoint = trained_once
+    command, name = OUTPUT_KINDS[kind]
+    target = tmp_path / name
+    target.parent.mkdir(exist_ok=True)
+    os.mkfifo(target)
+    capsys.readouterr()
+    assert main(_command_line(command, flags, checkpoint, tmp_path)) == EXIT_USAGE
+    assert capsys.readouterr().err == _not_replacing(target)
+    assert stat.S_ISFIFO(os.lstat(target).st_mode)
+    assert not list(tmp_path.rglob("*.tmp"))
+    if kind in ("checkpoint", "log"):
+        # train checks both outputs before it loads the graph: no load report yet
+        assert [path.name for path in tmp_path.iterdir()] == [name]
+
+
+def test_train_refuses_a_symlink_to_a_fifo_as_out_before_it_loads(tmp_path, capsys):
+    fifo, out = tmp_path / "pipe", tmp_path / "m.tsv"
+    os.mkfifo(fifo)
+    out.symlink_to(fifo)
+    missing = ["--train", str(tmp_path / "absent.tsv")] + data_flags(tmp_path)[2:]
+    assert main(["train", *missing, *FAST_TRAIN, "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == _not_replacing(out)  # not the missing train file
+    assert out.is_symlink() and stat.S_ISFIFO(os.stat(out).st_mode)

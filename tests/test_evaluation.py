@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -473,6 +474,32 @@ def test_evaluate_tokenizes_each_distinct_text_once(monkeypatch):
     texts = {augment_description(g, h) for h in g.split_array("test")[:, 0].tolist()}
     texts |= {g.relation(r).description for _, r, _ in g.triples("test")}
     assert sorted(calls) == sorted(texts)
+
+
+def test_evaluate_memory_stays_within_its_rank_chunk_bound():
+    # 5000 entities and 1200 re-ranked queries: six chunks of 209 queries;
+    # unchunked, the score block alone would take 48 MB
+    rng = np.random.default_rng(9)
+    ids = [f"e{i:04d}" for i in range(5000)]
+    pick = lambda n: rng.integers(0, len(ids), size=n).tolist()
+    train = [(ids[h], "r", ids[t]) for h, t in zip(pick(8000), pick(8000))]
+    test = [(ids[h], "r", ids[t]) for h, t in zip(pick(600), pick(600))]
+    g = make_graph(train=train, test=test, entities=ids, augment=True)
+    params = tiny_params()
+    matrix = rng.normal(size=(len(ids), params.dim))
+    idx = crafted_index(ids, matrix / np.linalg.norm(matrix, axis=1, keepdims=True))
+    queries = len(g.split_array("test"))
+    assert queries > 5 * (ev.RANK_CELLS // len(ids))  # the chunk bound, not the split, sets the peak
+    tracemalloc.start()
+    try:
+        result = evaluate(g, idx, params, rerank=RerankConfig(0.05, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.reranked and len(result.ranks) == queries
+    # the stated bound: twice one chunk's float64 score block, plus the
+    # query matrix (the peak read 1.26 blocks: the scores and their masks)
+    assert peak < 2 * ev.RANK_CELLS * 8 + queries * params.dim * 8
 
 
 # -- predict_topk ------------------------------------------------------------

@@ -15,6 +15,7 @@ from textkgc.graph import (
     add_inverse_triples,
     augment_description,
     classify_relation,
+    k_hop_mask,
     k_hop_neighbors,
     load_graph,
 )
@@ -223,6 +224,10 @@ def test_k_hop_excludes_self_and_validates():
         g.entity_numbers(["zz"])
     with pytest.raises(KgcError):
         k_hop_neighbors(g, entity_number(g, "a"), 0)
+    with pytest.raises(KgcError, match="hop count must be >= 1, got 0"):
+        k_hop_mask(g, g.entity_numbers(["a"]), 0)
+    assert not k_hop_mask(g, g.entity_numbers(["a", "a"]), 5)[:, entity_number(g, "a")].any()
+    assert k_hop_mask(g, np.zeros(0, dtype=np.int64), 2).shape == (0, len(g.entity_ids))
 
 
 def test_k_hop_monotone_in_k(rng):
@@ -265,6 +270,12 @@ def test_k_hop_matches_bfs_oracle(rng):
             numbers = k_hop_neighbors(g, entity_number(g, start), k)
             assert numbers.dtype == np.int64
             assert numbers.tolist() == g.entity_numbers(sorted(reach - {start})).tolist()  # increasing
+        # every head of a chunk at once, in any order and repeated
+        heads = rng.integers(0, len(g.entity_ids), size=int(rng.integers(1, 2 * n)))
+        mask = k_hop_mask(g, heads, k)
+        assert mask.shape == (len(heads), len(g.entity_ids)) and mask.dtype == bool
+        for row, head in enumerate(heads.tolist()):
+            assert np.flatnonzero(mask[row]).tolist() == k_hop_neighbors(g, head, k).tolist()
 
 
 # -- relation categories -----------------------------------------------------
@@ -469,6 +480,8 @@ def test_entity_numbers_outside_the_graph_raise():
             augment_description(g, number)
         with pytest.raises(KgcError, match="out of range"):
             k_hop_neighbors(g, number, 2)
+        with pytest.raises(KgcError, match=rf"entity number {number} is out of range"):
+            k_hop_mask(g, np.array([1, number, 0]), 2)
     assert g.neighbor_numbers(E - 1).tolist() == [1]
     assert augment_description(g, E - 1) == "c b"
 

@@ -74,6 +74,7 @@ from textkgc.graph import (
     add_inverse_triples,
     augment_description,
     classify_relation,
+    k_hop_mask,
     k_hop_neighbors,
     load_graph,
 )
@@ -519,7 +520,7 @@ def test_rerank_boost_matches_a_per_neighbor_loop(train, test, heads, alpha, hop
     idx = EntityEmbeddingIndex(list(g.entity_ids), rng.normal(size=(len(g.entity_ids), 4)), forward_passes=0)
     queries = rng.normal(size=(len(heads), 4))
     base = ev._exact_scores(queries, idx.matrix)
-    mask = ev._neighborhoods(g, g.entity_numbers(heads), hops)
+    mask = k_hop_mask(g, g.entity_numbers(heads), hops)
     want = base.copy()
     for row, h in enumerate(heads):
         assert set(np.flatnonzero(mask[row]).tolist()) == {idx.entity_ids.index(e) for e in _reference_hood(g, h, hops)}
