@@ -206,7 +206,12 @@ def _resolve(ns: argparse.Namespace, opts: list[_Opt], file_values: dict[str, st
     return cfg
 
 
-def _load_augmented(cfg: dict) -> KnowledgeGraph:
+def _load_augmented(cfg: dict, outputs: Sequence[str] = ()) -> KnowledgeGraph:
+    """The inverse-augmented graph, its load report written when one is asked
+    for; the command's ``outputs`` and the load report are checked with
+    ``check_replaceable`` first, so a refused path fails before any work."""
+    for path in filter(None, (*outputs, cfg.get("load_report"))):
+        check_replaceable(path)
     g = load_graph(cfg["train"], cfg["valid"], cfg["test"], cfg["entities"], cfg["relations"])
     g = add_inverse_triples(g)
     if cfg.get("load_report"):
@@ -247,9 +252,7 @@ def _fresh_params(cfg: dict) -> enc.EncoderParams:
 
 def cmd_train(cfg: dict) -> int:
     train_cfg, params = _train_config(cfg), _fresh_params(cfg)  # every option checked before any output
-    for path in (cfg["out"], cfg["out"] + ".log"):  # before the graph loads and the run trains
-        check_replaceable(path)
-    g = _load_augmented(cfg)
+    g = _load_augmented(cfg, (cfg["out"], cfg["out"] + ".log"))
     params, log_lines = tr.train(g, params, train_cfg, checkpoint_path=cfg["out"])
     with replace_file(cfg["out"] + ".log") as fh:
         fh.write("\n".join(log_lines) + "\n")
@@ -260,7 +263,7 @@ def cmd_train(cfg: dict) -> int:
 def cmd_evaluate(cfg: dict) -> int:
     rerank = ev.RerankConfig(cfg["alpha"], cfg["hops"])
     params = enc.load_checkpoint(cfg["checkpoint"])  # a bad checkpoint leaves no load report
-    g = _load_augmented(cfg)
+    g = _load_augmented(cfg, (cfg["output"],))
     if cfg["precomputed_embeddings"]:
         idx = ev.read_embeddings(g, cfg["precomputed_embeddings"])
         dim = idx.matrix.shape[1]
@@ -283,7 +286,9 @@ def cmd_predict(cfg: dict) -> int:
     g = _load_augmented(cfg)
     params = enc.load_checkpoint(cfg["checkpoint"])
     relation = cfg["relation"]
-    g.relation(relation)
+    # unknown ids fail here, before the index build encodes every entity
+    g.relation_numbers([relation])
+    g.entity_numbers([cfg["head"]])
     if cfg["direction"] == "head":
         relation = g.inverse_of(relation)
     idx = ev.build_index(g, params)
@@ -294,7 +299,7 @@ def cmd_predict(cfg: dict) -> int:
 
 
 def cmd_export_embeddings(cfg: dict) -> int:
-    g = _load_augmented(cfg)
+    g = _load_augmented(cfg, (cfg["out"],))
     params = enc.load_checkpoint(cfg["checkpoint"])
     idx = ev.build_index(g, params)
     ev.write_embeddings(idx, cfg["out"])
@@ -324,14 +329,15 @@ def cmd_sweep(cfg: dict) -> int:
     axis = cfg["axis"]
     points, init = _sweep_points(cfg), _fresh_params(cfg)  # every option checked before any output
     os.makedirs(cfg["out_dir"], exist_ok=True)
-    g = _load_augmented(cfg)
+    paths = [os.path.join(cfg["out_dir"], f"{axis}-{point}.json") for point, _ in points]
+    summary_path = os.path.join(cfg["out_dir"], "summary.json")
+    g = _load_augmented(cfg, (*paths, summary_path))
 
     summary = []
-    for point, run_cfg in points:
+    for (point, run_cfg), path in zip(points, paths):
         params, _ = tr.train(g, init.copy(), run_cfg)
         idx = ev.build_index(g, params)
         report = ev.evaluate(g, idx, params, cfg["split"]).report()
-        path = os.path.join(cfg["out_dir"], f"{axis}-{point}.json")
         with replace_file(path) as fh:
             fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
         summary.append(
@@ -345,7 +351,7 @@ def cmd_sweep(cfg: dict) -> int:
             }
         )
 
-    with replace_file(os.path.join(cfg["out_dir"], "summary.json")) as fh:
+    with replace_file(summary_path) as fh:
         fh.write(json.dumps({"axis": axis, "rows": summary}, indent=2, sort_keys=True) + "\n")
     print(f"{'point':>14} {'mrr':>8} {'hits1':>8} {'hits3':>8} {'hits10':>8}")
     for row in summary:

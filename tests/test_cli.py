@@ -10,6 +10,7 @@ import stat
 import numpy as np
 import pytest
 
+from textkgc import cli
 from textkgc import encoder as enc
 from textkgc import evaluation as ev
 from textkgc import files
@@ -393,16 +394,23 @@ def test_predict_head_direction(trained, capsys):
     assert len(lines) == 3
 
 
-def test_predict_argument_errors(trained, capsys):
+def test_predict_argument_errors(trained, capsys, monkeypatch):
     flags, out = trained
     assert main(["predict", *flags, "--checkpoint", str(out),
                  "--head", "p0", "--relation", "lives_in", "--topk", "0"]) == EXIT_USAGE
     assert "k must be >= 1" in capsys.readouterr().err
+
+    def no_index(*args, **kwargs):
+        raise AssertionError("an unknown id must fail before the index build")
+
+    # an unknown head or relation is refused before every entity is encoded
+    monkeypatch.setattr(ev, "build_index", no_index)
     assert main(["predict", *flags, "--checkpoint", str(out),
                  "--head", "ghost", "--relation", "lives_in"]) == EXIT_USAGE
-    assert "ghost" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: unknown entity id: 'ghost'\n"
     assert main(["predict", *flags, "--checkpoint", str(out),
                  "--head", "p0", "--relation", "made_up"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: unknown relation id: 'made_up'\n"
 
 
 # -- export-embeddings -------------------------------------------------------
@@ -842,20 +850,23 @@ def test_the_writer_refuses_a_target_that_is_not_a_regular_file(tmp_path, where)
 
 
 @pytest.mark.parametrize("kind", list(OUTPUT_KINDS))
-def test_every_output_refuses_a_fifo_with_one_error_line(trained_once, tmp_path, capsys, kind):
+def test_every_output_refuses_a_fifo_with_one_error_line(trained_once, tmp_path, capsys, monkeypatch, kind):
     flags, checkpoint = trained_once
     command, name = OUTPUT_KINDS[kind]
     target = tmp_path / name
     target.parent.mkdir(exist_ok=True)
     os.mkfifo(target)
     capsys.readouterr()
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("every output must be checked before the graph loads")
+
+    # so the refusal shows that each command checks all its outputs first
+    monkeypatch.setattr(cli, "load_graph", no_graph)
     assert main(_command_line(command, flags, checkpoint, tmp_path)) == EXIT_USAGE
     assert capsys.readouterr().err == _not_replacing(target)
     assert stat.S_ISFIFO(os.lstat(target).st_mode)
-    assert not list(tmp_path.rglob("*.tmp"))
-    if kind in ("checkpoint", "log"):
-        # train checks both outputs before it loads the graph: no load report yet
-        assert [path.name for path in tmp_path.iterdir()] == [name]
+    assert [path for path in tmp_path.rglob("*") if path.is_file() or path.is_fifo()] == [target]
 
 
 def test_train_refuses_a_symlink_to_a_fifo_as_out_before_it_loads(tmp_path, capsys):

@@ -308,8 +308,14 @@ def test_update_names_the_row_it_wrote_non_finite():
 
 
 def test_update_touches_only_the_rows_with_a_gradient_at_full_scale():
-    # 30000 x 64 tables and a gradient on 10 rows: every other stored row
-    # keeps its bytes, and nothing proportional to a table is allocated
+    """The optimizer step touches live rows only.
+
+    Weight decay is one scale shared by both tables, folded into them by
+    ``training.fold`` at epoch ends, so no step passes over a whole table:
+    with 30000 x 64 tables and a gradient on 10 rows, every other stored
+    row keeps its bytes and the step's peak allocation stays under a tenth
+    of a table.  A per-step decay pass over a table fails here.
+    """
     buckets, dim = 30_000, 64
     rng = np.random.default_rng(5)
     params = EncoderParams(rng.normal(size=(buckets, dim)), rng.normal(size=(buckets, dim)), 3.0)
