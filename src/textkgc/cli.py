@@ -82,27 +82,33 @@ _MODEL = [
     _Opt("--max-tokens", int, enc.DEFAULT_MAX_TOKENS, "token budget per text, kept in the checkpoint"),
     _Opt("--temperature", float, enc.DEFAULT_TEMPERATURE, "initial softmax temperature"),
 ]
+# the defaults of the options that set a config field are that field's default
+_TRAIN_DEFAULT, _RERANK_DEFAULT = tr.TrainConfig(), ev.RerankConfig()
 _TRAIN = _MODEL + [
-    _Opt("--seed", int, 42, "seed for every random stream"),
+    _Opt("--seed", int, _TRAIN_DEFAULT.seed, "seed for every random stream"),
+    # the two deliberate differences: the CLI trains longer, in smaller batches
     _Opt("--batch-size", int, 256, "triples per training step"),
     _Opt("--epochs", int, 10, "passes over the training split"),
-    _Opt("--lr", float, 0.02, "peak learning rate"),
-    _Opt("--warmup", int, 400, "linear warmup steps"),
-    _Opt("--grad-clip", float, 10.0, "global gradient-norm ceiling"),
-    _Opt("--weight-decay", float, 1e-4, "decoupled weight decay"),
-    _Opt("--dropout", float, 0.1, "token-row dropout probability"),
-    _Opt("--loss", str, "infonce", "training loss", choices=tr.LOSS_KINDS),
-    _Opt("--negatives", str, "ib,pb,sn", "negative sources, comma-separated from ib,pb,sn"),
-    _Opt("--pre-batches", int, 2, "batches kept in the pre-batch queue"),
-    _Opt("--pre-batch-weight", float, 0.5, "logit weight on queue negatives"),
-    _Opt("--max-negatives", int, None, "cap on usable negatives per row"),
-    _Opt("--margin", float, 0.02, "additive margin on the positive logit"),
-    _Opt("--hinge-margin", float, 0.8, "margin for the hinge losses"),
-    _Opt("--margin-tau-temperature", float, 0.05, "weighting temperature for margin_tau"),
+    _Opt("--lr", float, _TRAIN_DEFAULT.peak_lr, "peak learning rate"),
+    _Opt("--warmup", int, _TRAIN_DEFAULT.warmup_steps, "linear warmup steps"),
+    _Opt("--grad-clip", float, _TRAIN_DEFAULT.grad_clip, "global gradient-norm ceiling"),
+    _Opt("--weight-decay", float, _TRAIN_DEFAULT.weight_decay, "decoupled weight decay"),
+    _Opt("--dropout", float, _TRAIN_DEFAULT.dropout, "token-row dropout probability"),
+    _Opt("--loss", str, _TRAIN_DEFAULT.loss_kind, "training loss", choices=tr.LOSS_KINDS),
+    _Opt("--negatives", str, ",".join(tr.NEGATIVE_SOURCES), "negative sources, comma-separated from ib,pb,sn"),
+    _Opt("--pre-batches", int, _TRAIN_DEFAULT.pre_batches, "batches kept in the pre-batch queue"),
+    _Opt("--pre-batch-weight", float, _TRAIN_DEFAULT.loss.pre_batch_weight, "logit weight on queue negatives"),
+    _Opt("--max-negatives", int, _TRAIN_DEFAULT.max_negatives, "cap on usable negatives per row"),
+    _Opt("--margin", float, _TRAIN_DEFAULT.loss.additive_margin, "additive margin on the positive logit"),
+    _Opt("--hinge-margin", float, _TRAIN_DEFAULT.loss.hinge_margin, "margin for the hinge losses"),
+    _Opt(
+        "--margin-tau-temperature", float, _TRAIN_DEFAULT.margin_tau_temperature,
+        "weighting temperature for margin_tau",
+    ),
 ]
 _RERANK = [
-    _Opt("--alpha", float, 0.0, "re-ranking boost on the head's k-hop train neighborhood; 0 is off"),
-    _Opt("--hops", int, 2, "re-ranking hop radius"),
+    _Opt("--alpha", float, _RERANK_DEFAULT.alpha, "re-ranking boost on the head's k-hop train neighborhood; 0 is off"),
+    _Opt("--hops", int, _RERANK_DEFAULT.hops, "re-ranking hop radius"),
 ]
 
 _OPTS = {
@@ -206,18 +212,25 @@ def _resolve(ns: argparse.Namespace, opts: list[_Opt], file_values: dict[str, st
     return cfg
 
 
-def _load_augmented(cfg: dict, outputs: Sequence[str] = ()) -> KnowledgeGraph:
-    """The inverse-augmented graph, its load report written when one is asked
-    for; the command's ``outputs`` and the load report are checked with
-    ``check_replaceable`` first, so a refused path fails before any work."""
+def _load_inputs(cfg: dict, outputs: Sequence[str] = ()) -> tuple[Optional[enc.EncoderParams], KnowledgeGraph]:
+    """The ``--checkpoint`` params (None for a command without one) and the
+    inverse-augmented graph, its load report written when one is asked for.
+
+    Every command calls this once its options are checked, and it keeps one
+    order: the command's ``outputs`` and the load report are checked with
+    ``check_replaceable``, then the checkpoint is read, then the graph is
+    loaded.  So a refused output, or an absent or corrupt checkpoint, fails
+    before the graph is read and leaves no load report.
+    """
     for path in filter(None, (*outputs, cfg.get("load_report"))):
         check_replaceable(path)
+    params = enc.load_checkpoint(cfg["checkpoint"]) if "checkpoint" in cfg else None
     g = load_graph(cfg["train"], cfg["valid"], cfg["test"], cfg["entities"], cfg["relations"])
     g = add_inverse_triples(g)
     if cfg.get("load_report"):
         with replace_file(cfg["load_report"]) as fh:
             fh.write(json.dumps(g.load_report, indent=2, sort_keys=True) + "\n")
-    return g
+    return params, g
 
 
 def _train_config(cfg: dict) -> tr.TrainConfig:
@@ -252,7 +265,7 @@ def _fresh_params(cfg: dict) -> enc.EncoderParams:
 
 def cmd_train(cfg: dict) -> int:
     train_cfg, params = _train_config(cfg), _fresh_params(cfg)  # every option checked before any output
-    g = _load_augmented(cfg, (cfg["out"], cfg["out"] + ".log"))
+    _, g = _load_inputs(cfg, (cfg["out"], cfg["out"] + ".log"))
     params, log_lines = tr.train(g, params, train_cfg, checkpoint_path=cfg["out"])
     with replace_file(cfg["out"] + ".log") as fh:
         fh.write("\n".join(log_lines) + "\n")
@@ -262,8 +275,7 @@ def cmd_train(cfg: dict) -> int:
 
 def cmd_evaluate(cfg: dict) -> int:
     rerank = ev.RerankConfig(cfg["alpha"], cfg["hops"])
-    params = enc.load_checkpoint(cfg["checkpoint"])  # a bad checkpoint leaves no load report
-    g = _load_augmented(cfg, (cfg["output"],))
+    params, g = _load_inputs(cfg, (cfg["output"],))
     if cfg["precomputed_embeddings"]:
         idx = ev.read_embeddings(g, cfg["precomputed_embeddings"])
         dim = idx.matrix.shape[1]
@@ -283,8 +295,9 @@ def cmd_evaluate(cfg: dict) -> int:
 
 def cmd_predict(cfg: dict) -> int:
     rerank = ev.RerankConfig(cfg["alpha"], cfg["hops"])
-    g = _load_augmented(cfg)
-    params = enc.load_checkpoint(cfg["checkpoint"])
+    if cfg["topk"] < 1:
+        raise KgcError(f"k must be >= 1, got {cfg['topk']}")
+    params, g = _load_inputs(cfg)
     relation = cfg["relation"]
     # unknown ids fail here, before the index build encodes every entity
     g.relation_numbers([relation])
@@ -299,8 +312,7 @@ def cmd_predict(cfg: dict) -> int:
 
 
 def cmd_export_embeddings(cfg: dict) -> int:
-    g = _load_augmented(cfg, (cfg["out"],))
-    params = enc.load_checkpoint(cfg["checkpoint"])
+    params, g = _load_inputs(cfg, (cfg["out"],))
     idx = ev.build_index(g, params)
     ev.write_embeddings(idx, cfg["out"])
     print(f"embeddings: {cfg['out']} rows: {len(idx.entity_ids)}")
@@ -331,7 +343,7 @@ def cmd_sweep(cfg: dict) -> int:
     os.makedirs(cfg["out_dir"], exist_ok=True)
     paths = [os.path.join(cfg["out_dir"], f"{axis}-{point}.json") for point, _ in points]
     summary_path = os.path.join(cfg["out_dir"], "summary.json")
-    g = _load_augmented(cfg, (*paths, summary_path))
+    _, g = _load_inputs(cfg, (*paths, summary_path))
 
     summary = []
     for (point, run_cfg), path in zip(points, paths):

@@ -136,7 +136,9 @@ def assemble_candidates(
     Scores are cosines of the unit query and candidate vectors.  A
     candidate entity e is masked for row (h, r, t) when (h, r, e) is a
     known triple in any split, or when e equals t (a duplicate of the
-    positive).  The diagonal positive is always unmasked.
+    positive).  The diagonal positive is always unmasked.  The whole block
+    is masked at once, from one ``known_tails`` call on the batch's number
+    rows.
     """
     B, d = batch.hr_embs.shape
     if batch.tail_embs.shape != (B, d):
@@ -189,7 +191,8 @@ def limit_negatives(m: CandidateMatrix, max_negatives: int, rng: np.random.Gener
 
     Each row over the cap draws one ``rng.random`` key per column, rows in
     order, and keeps the ``max_negatives`` negatives of smallest (key,
-    column).  The diagonal is never touched.
+    column).  The diagonal is never touched.  ``train`` passes the run's
+    ``negatives`` stream.
     """
     if max_negatives < 0:
         raise KgcError(f"negative cap must be >= 0, got {max_negatives}")

@@ -180,7 +180,8 @@ def token_ids(rows: Iterable[Sequence[str]], buckets: int, max_tokens: int) -> T
 
     An entity is a one-text item and a query a (head text, relation text)
     item.  Each distinct text is tokenized once per call, and each row is
-    written into one flat C-int buffer as it is built.
+    written into one flat C-int buffer as it is built.  The train token
+    cache, the entity index and the queries all go through here.
     """
     separator = separator_index(buckets)
     memo: dict[str, array] = {}

@@ -8,9 +8,12 @@ adds a constant boost to the head's k-hop train-graph neighborhood.  A split
 is ranked in chunks of queries, each scored against every entity at once by
 one BLAS product; only the candidates whose product lies within rounding
 distance of the target's are re-scored exactly, so ranks and ties are those
-of the exact scores.  Everything inside works on the graph's entity and
-relation numbers; ids are numbered only where they enter (``rank_one``'s
-triple and ``predict_topk``'s head and relation).
+of the exact scores; with re-ranking on, one ``k_hop_mask`` walk marks the
+neighborhoods of all the chunk's heads.  Everything inside works on the
+graph's entity and relation numbers: an index's rows are its graph's
+entities in sorted-id order, so a query's known tails are dropped, and its
+neighborhood boosted, at their entity numbers.  Ids are numbered only where
+they enter (``rank_one``'s triple and ``predict_topk``'s head and relation).
 """
 
 from __future__ import annotations
@@ -58,7 +61,9 @@ class RerankConfig:
 @dataclass
 class EntityEmbeddingIndex:
     """All entity vectors as finite rows, in strictly increasing id order;
-    built from a graph, row i is the graph's entity number i (``entity_numbers``)."""
+    built from a graph, row i is the graph's entity number i (``entity_numbers``).
+    A non-finite matrix is rejected, and the largest row norm is recorded
+    for ``score_band``."""
 
     entity_ids: list[str]
     matrix: np.ndarray
@@ -206,6 +211,7 @@ def rank_one(
 
     Candidates t' != t with (h, r, t') known in any split are discarded.
     rank = 1 + #{kept strictly above target} + #{kept tied with target}/2.
+    The triple is ranked as a chunk of one, by the path ``evaluate`` takes.
     """
     numbers = g.triple_numbers([triple])
     query = query_vector(g, params, numbers[:, 0], numbers[:, 1])
@@ -327,7 +333,10 @@ def predict_topk(
     """Top-k candidates by score, unfiltered; known-true tails are flagged.
 
     Ties break toward the lexically smaller entity id, and k is clamped
-    to the entity count.
+    to the entity count.  The one query is scored by the exact einsum
+    alone: banding it as ``_rank_chunk`` does costs more numpy calls than
+    it saves at 200 entities.  Its boost comes from the one-entity
+    ``k_hop_neighbors``.
     """
     if k < 1:
         raise KgcError(f"k must be >= 1, got {k}")

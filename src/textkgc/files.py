@@ -1,5 +1,11 @@
 """The package's file boundary: one line reader, one whole-file writer, and
-the ``repr``-float row format of checkpoint and embedding files."""
+the ``repr``-float row format of checkpoint and embedding files.
+
+Every file the package reads goes through ``read_lines``, and every file
+it writes (the checkpoint, its ``.log``, the embedding export, the
+evaluate report, the load report, the sweep's reports and
+``summary.json``) through ``replace_file``.
+"""
 
 import os
 import stat
@@ -26,10 +32,15 @@ def read_lines(path: str, error: type[ParseError] = ParseError) -> Iterator[tupl
 
 
 def check_replaceable(path: str) -> None:
-    """Raise ``KgcError`` naming the file when ``path`` or its ``<path>.tmp``
-    exists and is not a regular file (a FIFO, a device, a directory, or a
-    symlink to one): ``replace_file`` would put a regular file in its place,
-    and opening a FIFO for writing waits for a reader."""
+    """Raise ``KgcError`` naming the file when ``replace_file`` cannot put a
+    regular file at ``path``: its directory (``os.path.dirname(path)``, or
+    the working directory) is not a directory, or ``path`` or its
+    ``<path>.tmp`` exists and is not a regular file (a FIFO, a device, a
+    directory, or a symlink to one).  ``replace_file`` would put a regular
+    file in its place, and opening a FIFO for writing waits for a reader."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise KgcError(f"{path}: no such directory: {parent}")
     for name in (path, path + ".tmp"):
         try:
             mode = os.stat(name).st_mode

@@ -164,7 +164,9 @@ def apply_update(
     other row has m = v = 0, so its step is exactly 0): V[live] -= (lr /
     scale) * update, checked, then scale *= 1 - lr * weight_decay.  No whole
     table is read unless the scale falls below ``FOLD_BELOW`` (or is not
-    finite, which ``fold`` rejects).
+    finite, which ``fold`` rejects).  With ``weight_decay`` 0 the scale stays
+    exactly 1 and the step writes the bits of the plain decoupled step; with
+    decay on, the values move in their last digits against that step.
     """
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1**state.step
@@ -205,8 +207,9 @@ def fold(params: enc.EncoderParams, state: OptimizerState) -> None:
     """Multiply both tables by ``state.scale``, reset it to 1 and check every value.
 
     The only whole-table pass of training: at ``train``'s entry (scale 1:
-    a check only), at every epoch's end, and when the scale falls below
-    ``FOLD_BELOW``.
+    a check only), at every epoch's end (before the checkpoint, so a run's
+    bits do not depend on whether it writes one), and when the scale falls
+    below ``FOLD_BELOW``.
     """
     for table_name in (enc.HR_TABLE, enc.TAIL_TABLE):
         table = params.table(table_name)
@@ -328,8 +331,12 @@ def train(
 ) -> tuple[enc.EncoderParams, list[str]]:
     """Run the full training loop and return the params and per-step log lines.
 
-    The graph must be inverse-augmented and the params finite.  Each epoch
-    ends with a ``fold``, then a checkpoint when a path is given.  Each log line reads
+    The graph must be inverse-augmented and the params finite.  During
+    training the params hold V = W / ``OptimizerState.scale``: the forward
+    pass reads V (each pooled vector is normalized, so its outputs are W's
+    up to rounding), and the table gradients are divided by the scale before
+    clipping.  Each epoch ends with a ``fold``, then a checkpoint when a
+    path is given.  Each log line reads
     ``step=<n> loss=<f> lr=<f> tau=<f> fwd=<n>`` where ``fwd`` is the
     cumulative count of encoded texts: two per row (query and tail), three
     with self-negatives.

@@ -317,16 +317,39 @@ def test_evaluate_missing_checkpoint(trained, tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
-@pytest.mark.parametrize("fault", ["missing", "corrupt"])
-def test_evaluate_reads_its_checkpoint_before_it_writes_a_load_report(trained, tmp_path, capsys, fault):
-    flags, _ = trained
-    checkpoint = tmp_path / "bad.tsv"
-    if fault == "corrupt":
-        checkpoint.write_text("kgc-enc v1 256 8\n")
-    report = tmp_path / "load.json"
-    code = main(["evaluate", *flags, "--checkpoint", str(checkpoint), "--load-report", str(report)])
-    assert code == EXIT_USAGE and capsys.readouterr().err.startswith("error: ")
-    assert not report.exists()
+CHECKPOINT_FAULTS = [
+    *((command, fault) for command in ("evaluate", "predict", "export-embeddings") for fault in ("missing", "corrupt")),
+    ("predict", "topk-0"),
+]
+
+
+@pytest.mark.parametrize("command, fault", CHECKPOINT_FAULTS)
+def test_a_checkpoint_command_reads_its_checkpoint_before_the_graph(
+    trained_once, tmp_path, capsys, monkeypatch, command, fault
+):
+    # options, then outputs, then the checkpoint, then the graph: each fault
+    # fails before the graph loads, so no output and no load report is written
+    flags, checkpoint = trained_once
+    extra = ["--topk", "0"] if fault == "topk-0" else []
+    if fault != "topk-0":
+        checkpoint = tmp_path / "bad.tsv"
+        if fault == "corrupt":
+            checkpoint.write_text("kgc-enc v1 256 8\n")
+    loads = []
+
+    def counting_load(*paths):
+        loads.append(paths)
+        raise KgcError("the graph was loaded")
+
+    monkeypatch.setattr(cli, "load_graph", counting_load)
+    capsys.readouterr()
+    code = main([*_command_line(command, flags, checkpoint, tmp_path), *extra])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and loads == []
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    if fault == "topk-0":
+        assert err == "error: k must be >= 1, got 0\n"
+    assert [path for path in tmp_path.rglob("*") if path.is_file()] == ([checkpoint] if fault == "corrupt" else [])
 
 
 def test_evaluate_precomputed_embeddings(trained, tmp_path, capsys):
@@ -849,13 +872,32 @@ def test_the_writer_refuses_a_target_that_is_not_a_regular_file(tmp_path, where)
     assert target.is_symlink() == (where == "symlink")
 
 
-@pytest.mark.parametrize("kind", list(OUTPUT_KINDS))
-def test_every_output_refuses_a_fifo_with_one_error_line(trained_once, tmp_path, capsys, monkeypatch, kind):
+@pytest.mark.parametrize(
+    "kind, fault",
+    [*((kind, "fifo") for kind in OUTPUT_KINDS), *((kind, "no-directory") for kind in OUTPUT_KINDS)],
+    ids=[*OUTPUT_KINDS, *(f"{kind}-no-directory" for kind in OUTPUT_KINDS)],
+)
+def test_every_output_refuses_a_fifo_with_one_error_line(trained_once, tmp_path, capsys, monkeypatch, kind, fault):
+    # a FIFO at the output, or every output of the command under a directory
+    # that does not exist
     flags, checkpoint = trained_once
     command, name = OUTPUT_KINDS[kind]
-    target = tmp_path / name
-    target.parent.mkdir(exist_ok=True)
-    os.mkfifo(target)
+    if fault == "fifo":
+        out_dir = tmp_path
+        target = tmp_path / name
+        target.parent.mkdir(exist_ok=True)
+        os.mkfifo(target)
+        expected, left = _not_replacing(target), [target]
+    else:
+        out_dir = tmp_path / "absent"
+        if command == "sweep":
+            # the sweep makes its --out-dir, so here that sits under a regular file
+            out_dir.write_text("")
+            expected, left = f"error: [Errno {errno.ENOTDIR}] Not a directory: '{out_dir / 'sweep'}'\n", [out_dir]
+        else:
+            argv = _command_line(command, flags, checkpoint, out_dir)
+            first = next(arg for arg in argv if arg.startswith(str(out_dir)))  # the first output checked
+            expected, left = f"error: {first}: no such directory: {out_dir}\n", []
     capsys.readouterr()
 
     def no_graph(*args, **kwargs):
@@ -863,10 +905,10 @@ def test_every_output_refuses_a_fifo_with_one_error_line(trained_once, tmp_path,
 
     # so the refusal shows that each command checks all its outputs first
     monkeypatch.setattr(cli, "load_graph", no_graph)
-    assert main(_command_line(command, flags, checkpoint, tmp_path)) == EXIT_USAGE
-    assert capsys.readouterr().err == _not_replacing(target)
-    assert stat.S_ISFIFO(os.lstat(target).st_mode)
-    assert [path for path in tmp_path.rglob("*") if path.is_file() or path.is_fifo()] == [target]
+    assert main(_command_line(command, flags, checkpoint, out_dir)) == EXIT_USAGE
+    assert capsys.readouterr().err == expected
+    assert fault != "fifo" or stat.S_ISFIFO(os.lstat(target).st_mode)
+    assert [path for path in tmp_path.rglob("*") if path.is_file() or path.is_fifo()] == left
 
 
 def test_train_refuses_a_symlink_to_a_fifo_as_out_before_it_loads(tmp_path, capsys):
